@@ -127,30 +127,6 @@ def checkpoint_meta(path: str | os.PathLike) -> dict[str, Any]:
     return read_meta(path)["meta"]
 
 
-class EngineStateView:
-    """A raw engine state dict wearing a :class:`StreamEngine`'s face.
-
-    The gateway checkpoint writers only touch two members of each
-    engine — ``state_dict()`` and ``stream_ids`` — so a snapshot
-    gathered from a worker *process* (already a plain state dict, no
-    live engine on this side of the pipe) can be checkpointed through
-    the exact same code path, keeping the on-disk format identical
-    across worker modes.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: dict[str, Any]) -> None:
-        self._state = state
-
-    def state_dict(self) -> dict[str, Any]:
-        return self._state
-
-    @property
-    def stream_ids(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.asarray(self._state["stream_ids"]))
-
-
 # ----------------------------------------------------------------------
 # gateway checkpoints: many sharded engines + stream-key bindings
 # ----------------------------------------------------------------------
@@ -187,20 +163,41 @@ def save_gateway_checkpoint(
     so a crash mid-checkpoint can never leave a torn artifact where the
     previous good one stood.
     """
+    save_gateway_states(
+        path, detector, [engine.state_dict() for engine in engines], bindings, meta
+    )
+
+
+def _stream_ids(engine_state: dict[str, Any]) -> set[int]:
+    return {int(i) for i in np.asarray(engine_state["stream_ids"])}
+
+
+def save_gateway_states(
+    path: str | os.PathLike,
+    detector: CombinedDetector,
+    engine_states: list[dict[str, Any]],
+    bindings: dict[str, tuple[int, int]],
+    meta: dict[str, Any] | None = None,
+) -> None:
+    """:func:`save_gateway_checkpoint` from engine state dicts already
+    taken — a serving gateway snapshots its shards between ticks and
+    writes off its event loop."""
     keys = sorted(bindings)
     for key in keys:
         shard, stream_id = bindings[key]
-        if not 0 <= shard < len(engines):
-            raise ValueError(f"binding {key!r} names shard {shard} of {len(engines)}")
-        if stream_id not in engines[shard].stream_ids:
+        if not 0 <= shard < len(engine_states):
+            raise ValueError(
+                f"binding {key!r} names shard {shard} of {len(engine_states)}"
+            )
+        if stream_id not in _stream_ids(engine_states[shard]):
             raise ValueError(
                 f"binding {key!r} names stream {stream_id} not attached to "
                 f"shard {shard}"
             )
     state = {
         "detector": detector.state_dict(),
-        "num_shards": len(engines),
-        "shards": {str(i): e.state_dict() for i, e in enumerate(engines)},
+        "num_shards": len(engine_states),
+        "shards": {str(i): s for i, s in enumerate(engine_states)},
         "binding_shards": np.array(
             [bindings[k][0] for k in keys], dtype=np.int64
         ),
@@ -318,15 +315,16 @@ def parse_route_label(label: str) -> tuple[str, int]:
 
 def save_routed_gateway_checkpoint(
     path: str | os.PathLike,
-    shards: "list[dict[tuple[str, int], StreamEngine]]",
+    shards: "list[dict[tuple[str, int], dict[str, Any]]]",
     bindings: dict[str, RouteBinding],
     meta: dict[str, Any] | None = None,
 ) -> None:
     """Snapshot a registry-backed gateway atomically.
 
-    Unlike the single-detector format, no model weights are embedded:
-    every engine is keyed by its ``(scenario, version)`` registry route,
-    and restore re-loads those exact artifacts from the registry.  The
+    ``shards`` holds each shard's engine states keyed by route.  Unlike
+    the single-detector format, no model weights are embedded: every
+    engine is keyed by its ``(scenario, version)`` registry route, and
+    restore re-loads those exact artifacts from the registry.  The
     checkpoint is therefore small (recurrent states + route table) and
     the registry stays the single source of model truth.
     """
@@ -337,14 +335,13 @@ def save_routed_gateway_checkpoint(
             raise ValueError(
                 f"binding {key!r} names shard {binding.shard} of {len(shards)}"
             )
-        pool = shards[binding.shard]
-        engine = pool.get(binding.route)
-        if engine is None:
+        engine_state = shards[binding.shard].get(binding.route)
+        if engine_state is None:
             raise ValueError(
                 f"binding {key!r} names route {binding.label} absent from "
                 f"shard {binding.shard}"
             )
-        if binding.stream_id not in engine.stream_ids:
+        if binding.stream_id not in _stream_ids(engine_state):
             raise ValueError(
                 f"binding {key!r} names stream {binding.stream_id} not "
                 f"attached to route {binding.label} on shard {binding.shard}"
@@ -355,8 +352,8 @@ def save_routed_gateway_checkpoint(
         "num_shards": len(shards),
         "shards": {
             str(i): {
-                route_label(*route): engine.state_dict()
-                for route, engine in pool.items()
+                route_label(*route): engine_state
+                for route, engine_state in pool.items()
             }
             for i, pool in enumerate(shards)
         },

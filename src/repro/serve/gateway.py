@@ -31,13 +31,24 @@ Architecture
   order on a single engine row, verdicts per stream are independent of
   shard count, batch composition of any tick, and connection timing —
   batching changes wall-clock, never decisions.
-- ``GatewayConfig(worker_mode="process")`` moves each shard's engine
-  pool into its own OS worker process (:mod:`repro.serve.workers`):
-  batched feature rows cross a pickle-free pipe as fixed-layout binary
-  records and verdicts flow back to the async side, so shard compute
-  scales with cores instead of contending for one GIL.  The thread
-  mode stays the reference backend — verdicts, checkpoints, hot-swaps
-  and resume offsets are bit-identical between the two.
+- Every shard operation (attach, packages-seen, the batched observe
+  of a tick, drain-and-swap, snapshot, stats) is one
+  :class:`~repro.serve.workers.EnginePool` op, driven through one
+  awaitable interface with two transports.  ``GatewayConfig.worker_mode``
+  only picks where the pool runs: ``"thread"`` calls it in-process
+  (:class:`~repro.serve.workers.LocalPool`), ``"process"`` runs it in
+  one worker OS process per shard behind a pickle-free pipe
+  (:class:`~repro.serve.workers.WorkerHandle`), so shard compute can use
+  more than one core.  The gateway has one tick, one bind, one swap,
+  one checkpoint writer and one ``stats()`` for both; verdicts,
+  checkpoints, hot-swaps and resume offsets are bit-identical between
+  the two.
+- A shard whose pool op fails (its worker process died) is marked
+  *degraded*: every live session bound to it gets an ERROR frame and
+  is closed, so clients fail fast instead of waiting out a timeout;
+  ``stats()`` reports the shard under ``degraded`` instead of raising,
+  new streams bind to healthy shards only, and :meth:`stop` still
+  closes alerts, flushes the historian and closes the other workers.
 
 Heterogeneous serving
 ---------------------
@@ -73,7 +84,8 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
@@ -82,12 +94,11 @@ from repro.obs.incidents import IncidentCorrelator
 from repro.obs.monitors import DriftMonitorBank
 from repro.persistence import (
     ROUTED_GATEWAY_KIND,
-    EngineStateView,
     RouteBinding,
     load_gateway_checkpoint,
     load_routed_gateway_checkpoint,
     route_label,
-    save_gateway_checkpoint,
+    save_gateway_states,
     save_routed_gateway_checkpoint,
 )
 from repro.registry.router import RoutingError, ScenarioRouter
@@ -103,28 +114,15 @@ from repro.serve.transport import (
     KIND_ERROR,
     KIND_OPEN,
     TransportError,
-    encode_stream_data,
 )
 from repro.serve.workers import (
-    OP_SNAPSHOT,
-    OP_STATS,
-    SINGLE_LABEL,
     STATE_BLOB_KIND,
+    EnginePool,
+    LocalPool,
     WorkerError,
     WorkerHandle,
-    decode_attach,
-    decode_seen,
-    decode_snapshot,
-    decode_stats,
-    decode_swap,
-    decode_verdicts,
-    encode_attach,
     encode_init,
-    encode_observe,
-    encode_seen,
-    encode_swap,
     pool_label,
-    pool_route,
 )
 from repro.utils.artifact import read_meta, state_to_bytes
 
@@ -145,25 +143,6 @@ _SINGLE_ROUTE: tuple[str | None, int | None] = (None, None)
 PENDING_STREAM_ID = 0xFFFFFFFF
 
 
-def _engine_stats_entry(raw: dict[str, Any]) -> dict[str, int]:
-    """Normalize one engine's stats to the canonical EngineStats shape.
-
-    Thread mode reads ``asdict(engine.stats)`` directly; process mode
-    gets the same dict JSON-round-tripped from the worker.  Pinning the
-    key set and value type here keeps ``stats()`` schema-identical
-    across worker modes (asserted by the cross-mode conformance test),
-    even for a pool slot the worker has not populated yet.
-    """
-    from dataclasses import fields as dataclass_fields
-
-    from repro.core.stream_engine import EngineStats
-
-    return {
-        field.name: int(raw.get(field.name, 0))
-        for field in dataclass_fields(EngineStats)
-    }
-
-
 class ProtocolViolation(Exception):
     """Fatal per-connection protocol error; reported then disconnected."""
 
@@ -182,12 +161,12 @@ class GatewayConfig:
     max_packages: int | None = None  # stop serving after N packages (tests/CLI)
     registry_poll_seconds: float = 1.0  # registry mode: hot-swap poll; 0 = off
     protocols: tuple[str, ...] = ()  # accepted wire dialects; () = all
-    #: Shard compute backend.  ``"thread"`` runs engines inline on the
-    #: event loop (the reference backend: zero IPC, but every shard
-    #: contends for one GIL).  ``"process"`` moves each shard's engine
-    #: pool into its own OS worker process (see
-    #: :mod:`repro.serve.workers`) so shards scale with cores; verdicts
-    #: are bit-identical between the two.
+    #: Transport of the shard ops (see :mod:`repro.serve.workers`).
+    #: ``"thread"`` runs each shard's engine pool in-process on the
+    #: event loop (zero IPC, but every shard contends for one GIL).
+    #: ``"process"`` runs it in its own OS worker process behind a pipe,
+    #: so shards can use more than one core.  Verdicts are
+    #: bit-identical between the two.
     worker_mode: str = "thread"
 
     def validate(self) -> "GatewayConfig":
@@ -296,10 +275,16 @@ class _Session:
 
 
 class _Shard:
-    """One engine pool plus the worker that batches its streams' packages."""
+    """One engine pool, behind its transport, plus the task that
+    batches its streams' packages into ticks."""
 
-    def __init__(self, gateway: "DetectionGateway", index: int,
-                 max_pending: int) -> None:
+    def __init__(
+        self,
+        gateway: "DetectionGateway",
+        index: int,
+        max_pending: int,
+        engines: "dict[tuple[str | None, int | None], StreamEngine]",
+    ) -> None:
         self.gateway = gateway
         self.index = index
         metrics = gateway.metrics
@@ -327,30 +312,25 @@ class _Shard:
                 "Shard queue depth sampled at enqueue",
                 shard=label,
             )
-        #: model route -> engine; single-detector mode uses one pool
-        #: slot keyed ``(None, None)``.
-        self.engines: "dict[tuple[str | None, int | None], StreamEngine]" = {}
+        #: The shard's engine pool behind its transport: in-process
+        #: until :meth:`DetectionGateway.start` moves it into a worker
+        #: process (``worker_mode="process"``).
+        self.ops: LocalPool | WorkerHandle = LocalPool(
+            EnginePool(gateway._detector_for, engines)
+        )
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=max_pending)
         self.bound_streams = 0
-        #: Process mode only: the shard's worker-process endpoint (set
-        #: at :meth:`DetectionGateway.start`, after which ``engines``
-        #: lives in the worker and the dict above stays empty).
-        self.client: WorkerHandle | None = None
-        #: Process mode only: serializes the read-routes-and-submit
-        #: window of a tick against route mutations (hot-swap) and
-        #: binding-table snapshots (checkpoint).  Pipe FIFO order then
-        #: guarantees the worker observes the same serialization.
+        #: Held around every pool op together with the route reads it
+        #: depends on (a tick's grouping, a swap's route rewrite, a
+        #: checkpoint's binding copy), so none of them interleave.
+        #: In-process ops never suspend, so only process mode contends.
         self.lock = asyncio.Lock()
-
-    def engine_for(
-        self, route_key: tuple[str | None, int | None]
-    ) -> "StreamEngine":
-        """The pool engine for one model route, created on first use."""
-        engine = self.engines.get(route_key)
-        if engine is None:
-            engine = self.gateway._detector_for(route_key).engine(0)
-            self.engines[route_key] = engine
-        return engine
+        #: Why the shard stopped serving (a pool op failed), else None.
+        self.degraded: str | None = None
+        #: The last pool stats answered: what ``stats()`` reports once
+        #: the pool is closed or degraded.
+        self._pool_stats = self.ops.stats()
+        self.closed = False
 
     @staticmethod
     def _build_tick(pending: deque) -> tuple[dict, deque]:
@@ -358,29 +338,20 @@ class _Shard:
 
         One tick advances each stream by at most one package; extra
         packages of the same stream wait for the next tick, preserving
-        per-stream order.  Streams are keyed by (model route, engine
-        row): ids are only unique within one engine of the pool.
+        per-stream order.  The tick is grouped by model route (stream
+        ids are only unique within one engine of the pool), so a
+        heterogeneous shard runs one batched LSTM step per *model*.
         """
-        tick: dict[tuple, tuple] = {}
+        groups: dict[tuple, dict[int, tuple]] = {}
         leftover: deque = deque()
         for item in pending:
             route = item[0].route
-            slot = (route.scenario, route.version, route.stream_id)
-            if slot in tick:
+            group = groups.setdefault(route.route_key, {})
+            if route.stream_id in group:
                 leftover.append(item)
             else:
-                tick[slot] = item
-        return tick, leftover
-
-    @staticmethod
-    def _group_tick(tick: dict) -> dict[tuple, dict[int, tuple]]:
-        """Group the tick by engine: heterogeneous shards run one
-        batched LSTM step per *model*, homogeneous shards degenerate to
-        exactly the old single-batch tick."""
-        groups: dict[tuple, dict[int, tuple]] = {}
-        for (scenario, version, stream_id), item in tick.items():
-            groups.setdefault((scenario, version), {})[stream_id] = item
-        return groups
+                group[route.stream_id] = item
+        return groups, leftover
 
     async def run(self) -> None:
         """Drain the queue forever, one batched tick at a time."""
@@ -393,117 +364,92 @@ class _Shard:
                     break
             pending = deque(items)
             while pending:
-                if self.client is None:
-                    pending = self._tick_inline(pending)
-                else:
-                    pending = await self._tick_process(pending)
+                try:
+                    pending = await self._tick(pending)
+                except WorkerError as exc:
+                    self.fail(exc)  # the pending packages' sessions close
+                    break
 
-    def _tick_inline(self, pending: deque) -> deque:
-        """One tick on the in-process (thread-mode) engine pool."""
+    async def _tick(self, pending: deque) -> deque:
+        """One tick: one observe op over every engine group, then
+        accounting, a due checkpoint, and delivery."""
+        gateway = self.gateway
         started = perf_counter() if self._t_tick is not None else 0.0
-        tick, leftover = self._build_tick(pending)
-        tracing = self.gateway.tracer is not None
-        if tracing:
-            now = perf_counter()
-            for item in tick.values():
-                if item[3] is not None:
-                    item[3].stages["queue"] = now - item[3].mark
-        outputs = []
-        for route_key, by_stream in self._group_tick(tick).items():
-            engine = self.engines[route_key]
-            batch = {
-                stream_id: item[2]
-                for stream_id, item in by_stream.items()
-            }
+        tracing = gateway.tracer is not None
+        async with self.lock:
+            groups, leftover = self._build_tick(pending)
             if tracing:
-                group_started = perf_counter()
-                verdicts, levels = engine.observe_batch(batch)
-                group_seconds = perf_counter() - group_started
+                submitted = perf_counter()
+                for by_stream in groups.values():
+                    for item in by_stream.values():
+                        if item[3] is not None:
+                            item[3].stages["queue"] = submitted - item[3].mark
+            verdicts, levels, seconds = await self.ops.observe(
+                [
+                    (route_key, {sid: item[2] for sid, item in by_stream.items()})
+                    for route_key, by_stream in groups.items()
+                ]
+            )
+        if tracing:
+            # Each row carries its group's engine seconds; whatever the
+            # op spent beyond total compute is IPC, shared by every row.
+            compute, ipc = self.ops.trace_stages
+            overhead = max(0.0, perf_counter() - submitted - sum(seconds))
+            for by_stream, group_seconds in zip(groups.values(), seconds):
                 for item in by_stream.values():
-                    if item[3] is not None:
-                        item[3].stages["tick"] = group_seconds
-            else:
-                verdicts, levels = engine.observe_batch(batch)
-            outputs.append((list(by_stream.values()), verdicts, levels))
+                    span = item[3]
+                    if span is not None:
+                        span.stages[compute] = group_seconds
+                        if ipc is not None:
+                            span.stages[ipc] = overhead
+        items = [item for by_stream in groups.values() for item in by_stream.values()]
         # Account (and maybe checkpoint) before delivery: a write can
         # flush to the socket synchronously, so this ordering
         # guarantees a client can never observe a verdict the gateway's
-        # own counters don't cover yet.  Checkpoints land between
-        # ticks, where every stream's state and seen-count are mutually
-        # consistent.
-        self.gateway._after_work(len(tick))
-        for items_out, verdicts, levels in outputs:
-            self.gateway._deliver(items_out, verdicts, levels)
+        # own counters — or the checkpoint it would resume from — do
+        # not cover yet.
+        gateway._after_work(len(items))
+        if gateway._checkpoint_due():
+            await gateway._checkpoint()
+        gateway._deliver(items, verdicts, levels)
         if self._t_tick is not None:
             self._t_tick.observe(perf_counter() - started)
-            self._h_batch.observe(len(tick))
+            self._h_batch.observe(len(items))
         return leftover
 
-    async def _tick_process(self, pending: deque) -> deque:
-        """One tick round-tripped through the shard's worker process.
+    def fail(self, exc: WorkerError) -> None:
+        """Mark the shard degraded (once) and close its live sessions.
 
-        The lock covers route reads *and* request submission, so a
-        hot-swap (which holds the same lock while it mutates routes)
-        can never interleave: worker-side, this tick's rows land either
-        entirely before or entirely after the swap's re-attach ops.
-        The response is awaited outside the lock — the worker is
-        already committed to FIFO order by then.
+        Safe from any thread: the sessions are closed on the loop.
+        Each gets an ERROR frame first, so its client fails fast
+        instead of waiting out its socket timeout.
         """
-        client = self.client
-        assert client is not None
-        started = perf_counter() if self._t_tick is not None else 0.0
-        tracing = self.gateway.tracer is not None
-        async with self.lock:
-            tick, leftover = self._build_tick(pending)
-            wire: list[tuple[str, list[tuple[int, bytes]]]] = []
-            flat_items: list[tuple] = []
-            group_sizes: list[int] = []
-            for route_key, by_stream in self._group_tick(tick).items():
-                rows = []
-                for stream_id, item in by_stream.items():
-                    rows.append((stream_id, encode_stream_data(item[2], 0)))
-                    flat_items.append(item)
-                group_sizes.append(len(rows))
-                wire.append((pool_label(*route_key), rows))
-            submitted = 0.0
-            if tracing:
-                submitted = perf_counter()
-                for item in flat_items:
-                    if item[3] is not None:
-                        item[3].stages["queue"] = submitted - item[3].mark
-            future = client.submit(encode_observe(wire))
-        results, group_seconds = decode_verdicts(
-            await asyncio.wrap_future(future), len(flat_items)
-        )
-        if tracing:
-            # The worker reports its per-group engine seconds; whatever
-            # the round-trip spent beyond total compute is pipe/framing
-            # overhead, shared by every row of this request.
-            pipe = max(
-                0.0, perf_counter() - submitted - sum(group_seconds)
-            )
-            index = 0
-            for group, size in enumerate(group_sizes):
-                for _ in range(size):
-                    span = flat_items[index][3]
-                    if span is not None:
-                        span.stages["worker"] = group_seconds[group]
-                        span.stages["pipe"] = pipe
-                    index += 1
-        # Same account-then-deliver ordering as the inline tick;
-        # periodic checkpoints gather worker snapshots between ticks.
-        self.gateway._after_work(len(tick), checkpoint=False)
-        if self.gateway._checkpoint_due():
-            await self.gateway._checkpoint_process()
-        self.gateway._deliver(
-            flat_items,
-            [verdict for verdict, _ in results],
-            [level for _, level in results],
-        )
-        if self._t_tick is not None:
-            self._t_tick.observe(perf_counter() - started)
-            self._h_batch.observe(len(tick))
-        return leftover
+        if self.degraded is not None:
+            return
+        lines = [line for line in str(exc).splitlines() if line.strip()]
+        self.degraded = (lines[-1] if lines else repr(exc))[:200]
+        assert self.gateway._loop is not None  # ops only fail once started
+        self.gateway._loop.call_soon_threadsafe(self._close_sessions)
+
+    def _close_sessions(self) -> None:
+        message = f"shard {self.index} is degraded: {self.degraded}"
+        for session in list(self.gateway._live.values()):
+            if session.shard is self and not session.evicted:
+                session.send(
+                    session.adapter.frame_error(message),
+                    self.gateway.config.max_write_buffer,
+                )
+                session.evicted = True
+                session.writer.close()
+
+    def pool_stats(self) -> dict:
+        """The pool's stats; the last answer once closed or degraded."""
+        if self.degraded is None and not self.closed:
+            try:
+                self._pool_stats = self.ops.stats()
+            except WorkerError as exc:
+                self.fail(exc)
+        return self._pool_stats
 
 
 class DetectionGateway:
@@ -592,12 +538,9 @@ class DetectionGateway:
         #: Mirror of transport counters as metrics, keyed by dialect.
         self._m_transport: dict[str, dict[str, Any]] = {}
         self._peak_queue_depth = 0
-        self._shards = [
-            _Shard(self, i, self.config.max_pending)
-            for i in range(self.config.num_shards)
-        ]
         #: stream key -> live route; sticky across reconnects.
         self._bindings: dict[str, _Route] = {}
+        pools: list[dict[tuple[str | None, int | None], StreamEngine]]
         if router is None:
             if _routed_shards is not None or _routed_bindings is not None:
                 raise ValueError("routed state requires registry=/router=")
@@ -611,8 +554,7 @@ class DetectionGateway:
                     f"{len(_engines)} restored shards for config.num_shards="
                     f"{self.config.num_shards}"
                 )
-            for shard, engine in zip(self._shards, _engines):
-                shard.engines[_SINGLE_ROUTE] = engine
+            pools = [{_SINGLE_ROUTE: engine} for engine in _engines]
             for key, (shard_index, stream_id) in (_bindings or {}).items():
                 self._bindings[key] = _Route(shard_index, None, None, stream_id)
         else:
@@ -620,14 +562,15 @@ class DetectionGateway:
                 raise ValueError(
                     "single-detector state cannot restore a routed gateway"
                 )
-            if _routed_shards is not None:
-                if len(_routed_shards) != self.config.num_shards:
-                    raise ValueError(
-                        f"{len(_routed_shards)} restored shards for "
-                        f"config.num_shards={self.config.num_shards}"
-                    )
-                for shard, pool in zip(self._shards, _routed_shards):
-                    shard.engines.update(pool)
+            if _routed_shards is None:
+                pools = [{} for _ in range(self.config.num_shards)]
+            elif len(_routed_shards) != self.config.num_shards:
+                raise ValueError(
+                    f"{len(_routed_shards)} restored shards for "
+                    f"config.num_shards={self.config.num_shards}"
+                )
+            else:
+                pools = list(_routed_shards)
             for key, binding in (_routed_bindings or {}).items():
                 self._bindings[key] = _Route(
                     binding.shard,
@@ -637,6 +580,10 @@ class DetectionGateway:
                     binding.seq_base,
                     protocol=binding.protocol,
                 )
+        self._shards = [
+            _Shard(self, i, self.config.max_pending, pool)
+            for i, pool in enumerate(pools)
+        ]
         for route in self._bindings.values():
             self._shards[route.shard].bound_streams += 1
         self._live: dict[str, _Session] = {}
@@ -658,12 +605,12 @@ class DetectionGateway:
         self._abstained = 0
         self._done = asyncio.Event()
         self._stopped = False
-        #: Process mode: serializes checkpoint writers (any shard's
-        #: tick may trigger one) and re-checks dueness under the lock.
+        #: Serializes checkpoint writers: any shard's tick may trigger
+        #: one, and a writer re-checks dueness under the lock.
         self._checkpoint_lock = asyncio.Lock()
-        #: Process mode: final per-shard worker stats, cached at stop
-        #: so ``stats()`` keeps answering after the workers are gone.
-        self._final_worker_stats: list[dict[str, Any]] | None = None
+        #: In-flight hot-swap tasks, held until they finish (the loop
+        #: only keeps weak references) and awaited by :meth:`stop`.
+        self._swap_tasks: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -789,17 +736,13 @@ class DetectionGateway:
                         if field in mirrors:
                             mirrors[field].inc(value)
 
-    def _process_active(self) -> bool:
-        """True once shard compute lives in worker processes."""
-        return self._shards[0].client is not None
-
     async def _start_worker_processes(self) -> None:
-        """Spawn one worker per shard and hand each its engine pool.
+        """Spawn one worker per shard and move its engine pool there.
 
         The gateway always *constructs* its engines in-process (fresh
-        or checkpoint-restored) — at start they are serialized to the
-        workers and the in-main pool is dropped, so the pre-start sync
-        surface (``request_promote``, ``stats``) works unchanged.
+        or checkpoint-restored); at start each pool is serialized into
+        its worker's INIT request and the shard's transport switches
+        from the in-process pool to the worker's pipe.
         """
         if self._router is None:
             assert self.detector is not None
@@ -821,8 +764,8 @@ class DetectionGateway:
         payloads = []
         for shard in self._shards:
             pool = {
-                pool_label(*route_key): engine.state_dict()
-                for route_key, engine in shard.engines.items()
+                pool_label(*route_key): state
+                for route_key, state in (await shard.ops.snapshot()).items()
             }
             payloads.append(
                 encode_init(
@@ -847,11 +790,10 @@ class DetectionGateway:
             )
             raise
         for shard, handle in zip(self._shards, handles):
-            shard.client = handle
-            shard.engines.clear()
+            shard.ops = handle
 
     async def start(self) -> None:
-        """Bind the listening socket and launch the shard workers."""
+        """Bind the listening socket and launch the shard tasks."""
         if self._server is not None:
             raise RuntimeError("gateway already started")
         loop = asyncio.get_running_loop()
@@ -886,56 +828,53 @@ class DetectionGateway:
         await self._done.wait()
 
     async def stop(self, checkpoint: bool = True) -> None:
-        """Graceful shutdown; ``checkpoint=False`` models a hard crash."""
+        """Graceful shutdown; ``checkpoint=False`` models a hard crash.
+
+        Whatever failed before or fails here, alerts are closed, the
+        historian is flushed and every worker process is closed.
+        """
         if self._stopped:
             return
         self._stopped = True
-        if self._router is not None and self._registry_listener is not None:
-            self._router.registry.unsubscribe(self._registry_listener)
-            self._registry_listener = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for worker in self._workers:
-            worker.cancel()
-        for worker in self._workers:
-            try:
-                await worker
-            except (asyncio.CancelledError, Exception):
-                pass
-        for session in list(self._live.values()):
-            try:
-                session.writer.close()
-            except RuntimeError:
-                pass
-        self._live.clear()
-        if self._process_active():
-            try:
-                self._final_worker_stats = await self._gather_worker_stats()
-                if checkpoint and self.config.checkpoint_path:
-                    await self._write_checkpoint_process()
-            finally:
-                await asyncio.to_thread(self._close_worker_processes)
-        elif checkpoint and self.config.checkpoint_path:
-            self._write_checkpoint()
-        self.alerts.close()
-        if self.historian is not None:
-            # Flush (not close): the verdict log must be durable once
-            # the gateway is down, but the owner may keep querying it.
-            self.historian.flush()
-
-    async def _gather_worker_stats(self) -> list[dict[str, Any]]:
-        futures = [shard.client.submit(OP_STATS) for shard in self._shards]
-        return [
-            decode_stats(await asyncio.wrap_future(future))
-            for future in futures
-        ]
-
-    def _close_worker_processes(self) -> None:
-        for shard in self._shards:
-            if shard.client is not None:
-                shard.client.close()
-                shard.client = None
+        try:
+            if self._router is not None and self._registry_listener is not None:
+                self._router.registry.unsubscribe(self._registry_listener)
+                self._registry_listener = None
+            if self._server is not None:
+                self._server.close()
+                await self._server.wait_closed()
+            for worker in self._workers:
+                worker.cancel()
+            for worker in self._workers:
+                try:
+                    await worker
+                except (asyncio.CancelledError, Exception):
+                    pass
+            # Swaps are awaited, not cancelled: one cancelled after its
+            # worker re-attached the stream but before the route table
+            # caught up would leave the shutdown checkpoint naming a
+            # detached engine row.  No new swap starts once stopped.
+            await asyncio.gather(*self._swap_tasks, return_exceptions=True)
+            for session in list(self._live.values()):
+                try:
+                    session.writer.close()
+                except RuntimeError:
+                    pass
+            self._live.clear()
+            if checkpoint and self.config.checkpoint_path:
+                await self._checkpoint(force=True)
+        finally:
+            for shard in self._shards:
+                shard.pool_stats()  # stats() answers once the pool is gone
+                shard.closed = True
+            await asyncio.to_thread(
+                lambda: [shard.ops.close() for shard in self._shards]
+            )
+            self.alerts.close()
+            if self.historian is not None:
+                # Flush (not close): the verdict log must be durable once
+                # the gateway is down, but the owner may keep querying it.
+                self.historian.flush()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -1106,8 +1045,10 @@ class DetectionGateway:
             route.protocol = session.adapter.name
 
         session.route = route
-        session.shard = self._shards[route.shard]
-        seen = await self._route_packages_seen(session.shard, route)
+        session.shard = shard = self._shards[route.shard]
+        seen = await self._pool_op(
+            shard, shard.ops.packages_seen, route.route_key, route.stream_id
+        )
         # Reading seq_base after the await is safe: a hot-swap folds
         # the old engine's count into seq_base, so the sum (the next
         # expected wire seq) is invariant across swaps.
@@ -1117,15 +1058,16 @@ class DetectionGateway:
             self.config.max_write_buffer,
         )
 
-    async def _route_packages_seen(self, shard: _Shard, route: _Route) -> int:
-        """Lifetime package count of one route's current engine row."""
-        if shard.client is None:
-            return shard.engines[route.route_key].packages_seen(route.stream_id)
-        async with shard.lock:
-            future = shard.client.submit(
-                encode_seen(pool_label(*route.route_key), route.stream_id)
-            )
-        return decode_seen(await asyncio.wrap_future(future))
+    async def _pool_op(self, shard: _Shard, op, *args):
+        """One session-driven pool op under the shard lock.  A degraded
+        shard refuses the session, and a failed op degrades the shard."""
+        try:
+            if shard.degraded is None:
+                async with shard.lock:
+                    return await op(*args)
+        except WorkerError as exc:
+            shard.fail(exc)
+        raise ProtocolViolation(f"shard {shard.index} is degraded: {shard.degraded}")
 
     async def _bind(
         self,
@@ -1149,17 +1091,13 @@ class DetectionGateway:
             except RoutingError as exc:
                 raise ProtocolViolation(str(exc)) from exc
             scenario, version = entry.scenario, entry.version
-        # Least-loaded shard (ties to the lowest index) keeps the
-        # per-tick batches balanced as keys come and go.
-        shard = min(self._shards, key=lambda s: (s.bound_streams, s.index))
-        if shard.client is None:
-            engine = shard.engine_for((scenario, version))
-            stream_id = engine.attach()
-        else:
-            future = shard.client.submit(
-                encode_attach(pool_label(scenario, version))
-            )
-            stream_id = decode_attach(await asyncio.wrap_future(future))
+        # Least-loaded healthy shard (ties to the lowest index) keeps
+        # the per-tick batches balanced as keys come and go.
+        healthy = [s for s in self._shards if s.degraded is None]
+        if not healthy:
+            raise ProtocolViolation("every shard is degraded")
+        shard = min(healthy, key=lambda s: (s.bound_streams, s.index))
+        stream_id = await self._pool_op(shard, shard.ops.attach, (scenario, version))
         shard.bound_streams += 1
         route = _Route(shard.index, scenario, version, stream_id, protocol=protocol)
         self._bindings[key] = route
@@ -1273,10 +1211,13 @@ class DetectionGateway:
         return self._router.load(scenario, version)
 
     def request_promote(self, scenario: str) -> None:
-        """Thread-safe: re-check a scenario's active version and hot-swap."""
-        if self._loop is None:
-            self._maybe_swap(scenario)
-        else:
+        """Thread-safe: re-check a scenario's active version and hot-swap.
+
+        Swaps run on the gateway's loop, so a gateway that is not
+        started yet ignores the request; its registry poll picks the
+        active version up once it runs.
+        """
+        if self._loop is not None:
             self._loop.call_soon_threadsafe(self._maybe_swap, scenario)
 
     def _maybe_swap(self, scenario: str) -> None:
@@ -1286,65 +1227,27 @@ class DetectionGateway:
             version = self._router.active_version(scenario)
         except RoutingError:
             return
-        if self._process_active():
-            assert self._loop is not None
-            self._loop.create_task(self._apply_swap_process(scenario, version))
-        else:
-            self._apply_swap(scenario, version)
+        assert self._loop is not None
+        task = self._loop.create_task(self._apply_swap(scenario, version))
+        self._swap_tasks.add(task)
+        task.add_done_callback(self._swap_tasks.discard)
 
-    def _apply_swap(self, scenario: str, version: int) -> None:
+    async def _apply_swap(self, scenario: str, version: int) -> None:
         """Drain-and-swap every stream of ``scenario`` onto ``version``.
 
-        Runs as one event-loop callback, so it lands *between* shard
-        ticks: packages already queued are simply scored by the new
-        engine on the next tick — none are dropped, and the verdict
-        sequence continues unbroken.  The old version's recurrent state
-        does not transfer (architectures and vocabularies may differ);
-        each swapped stream restarts from a fresh zero state exactly
-        like offline ``detect()`` starting at the swap boundary.
+        Each shard's lock is held across its swap ops, so the swap
+        lands *between* that shard's ticks: packages already queued are
+        simply scored by the new engine on the next tick — none are
+        dropped, and the verdict sequence continues unbroken.  Route
+        fields are re-checked under the lock, so concurrent swap tasks
+        (subscribe callback racing the registry poll) stay idempotent.
+        A shard whose swap op fails is degraded; the others still swap.
         """
         swapped = 0
-        for route in self._bindings.values():
-            if route.scenario != scenario or route.version == version:
-                continue
-            shard = self._shards[route.shard]
-            old_engine = shard.engines[(scenario, route.version)]
-            new_engine = shard.engine_for((scenario, version))
-            route.seq_base += old_engine.packages_seen(route.stream_id)
-            old_engine.detach(route.stream_id)
-            route.stream_id = new_engine.attach()
-            route.version = version
-            swapped += 1
-        if not swapped:
-            return
         for shard in self._shards:
-            stale = [
-                key
-                for key, engine in shard.engines.items()
-                if key[0] == scenario
-                and key[1] != version
-                and engine.num_streams == 0
-            ]
-            for key in stale:
-                del shard.engines[key]
-        self._swaps_applied += 1
-
-    async def _apply_swap_process(self, scenario: str, version: int) -> None:
-        """Drain-and-swap ``scenario`` streams inside the worker processes.
-
-        Each shard's lock is held across its swap ops, so no tick can
-        read a half-updated route table; pipe FIFO order makes the
-        worker-side re-attach land between its ticks, exactly like the
-        in-process swap lands between loop callbacks.  Route fields are
-        re-checked under the lock, so concurrent swap tasks (subscribe
-        callback racing the registry poll) stay idempotent.
-        """
-        swapped = 0
-        try:
-            for shard in self._shards:
-                client = shard.client
-                if client is None:
-                    continue
+            if shard.degraded is not None:
+                continue
+            try:
                 async with shard.lock:
                     for route in list(self._bindings.values()):
                         if (
@@ -1353,22 +1256,15 @@ class DetectionGateway:
                             or route.version == version
                         ):
                             continue
-                        future = client.submit(
-                            encode_swap(
-                                scenario, route.version, version,
-                                route.stream_id,
-                            )
-                        )
-                        new_id, old_seen = decode_swap(
-                            await asyncio.wrap_future(future)
+                        new_id, old_seen = await shard.ops.swap(
+                            scenario, route.version, version, route.stream_id
                         )
                         route.seq_base += old_seen
                         route.stream_id = new_id
                         route.version = version
                         swapped += 1
-        except WorkerError:
-            if not self._stopped:  # shutdown races are expected
-                raise
+            except WorkerError as exc:
+                shard.fail(exc)
         if swapped:
             self._swaps_applied += 1
 
@@ -1453,14 +1349,12 @@ class DetectionGateway:
                     time=package.time,
                 )
 
-    def _after_work(self, count: int, checkpoint: bool = True) -> None:
+    def _after_work(self, count: int) -> None:
         self._processed += count
         self._since_checkpoint += count
         if self._m_packages is not None:
             self._m_packages.inc(count)
         cfg = self.config
-        if checkpoint and self._checkpoint_due():
-            self._write_checkpoint()
         if cfg.max_packages is not None and self._processed >= cfg.max_packages:
             self._done.set()
 
@@ -1471,152 +1365,86 @@ class DetectionGateway:
             and self._since_checkpoint >= cfg.checkpoint_every
         )
 
-    async def _checkpoint_process(self) -> None:
-        """Periodic checkpoint in process mode (any shard may trigger)."""
-        async with self._checkpoint_lock:
-            if self._checkpoint_due():  # another shard may have just written
-                await self._write_checkpoint_process()
+    async def _checkpoint(self, force: bool = False) -> None:
+        """Snapshot every shard between its ticks, then write off-loop.
 
-    async def _write_checkpoint_process(self) -> None:
-        """Per-worker snapshot + atomic merge into the standard format.
-
-        All shard locks are taken while the binding table is copied and
-        the snapshot ops are submitted: no tick can be in its
-        read-and-submit window and no swap can run, so each worker's
-        snapshot lands between its ticks with the exact engine state
-        the copied bindings describe.  The responses are awaited (and
-        the merged artifact written, off-loop) after the locks drop —
-        FIFO pipes mean later traffic cannot retroactively change what
-        the snapshot ops observe.  The on-disk format is identical to
-        thread mode's, so checkpoints are interchangeable across
-        worker modes.
+        All shard locks are held while the binding table is copied and
+        every pool is snapshotted: no tick, swap or bind can run in
+        between, so each snapshot holds exactly the engine state the
+        copied bindings describe.  Snapshots are copies, so the
+        compressed write runs on a thread while the shards tick on.
+        The on-disk format is the same whatever the worker mode, so
+        checkpoints are interchangeable across modes.  With a degraded
+        shard nothing is written: its state is lost, and the last good
+        checkpoint stays in place for a resume.
         """
         if not self.config.checkpoint_path:
             return
         from contextlib import AsyncExitStack
 
-        started = perf_counter()
-        async with AsyncExitStack() as stack:
-            for shard in self._shards:
-                await stack.enter_async_context(shard.lock)
-            meta = {
-                "processed": self._processed,
-                "routes": self._route_meta(),
-                "transport": {
-                    name: dict(counters)
-                    for name, counters in sorted(self._transport_stats.items())
-                },
-                **self._obs_state_meta(),
-            }
-            if self._router is None:
-                single_bindings = {
-                    key: (route.shard, route.stream_id)
-                    for key, route in self._bindings.items()
+        async with self._checkpoint_lock:
+            if not (force or self._checkpoint_due()):
+                return  # another shard's tick has just written one
+            if any(shard.degraded is not None for shard in self._shards):
+                return
+            started = perf_counter()
+            async with AsyncExitStack() as stack:
+                for shard in self._shards:
+                    await stack.enter_async_context(shard.lock)
+                pools = []
+                for shard in self._shards:
+                    try:
+                        pools.append(await shard.ops.snapshot())
+                    except WorkerError as exc:
+                        shard.fail(exc)
+                        return
+                meta = {
+                    "processed": self._processed,
+                    "routes": self._route_meta(),
+                    "transport": {
+                        name: dict(counters)
+                        for name, counters in sorted(self._transport_stats.items())
+                    },
+                    **self._obs_state_meta(),
                 }
-                routed_bindings = None
-            else:
-                single_bindings = None
-                routed_bindings = {
-                    key: RouteBinding(
-                        shard=route.shard,
-                        scenario=route.scenario,
-                        version=route.version,
-                        stream_id=route.stream_id,
-                        seq_base=route.seq_base,
-                        protocol=route.protocol,
+                path = self.config.checkpoint_path
+                if self._router is None:
+                    save = partial(
+                        save_gateway_states,
+                        path,
+                        self.detector,
+                        [pool[_SINGLE_ROUTE] for pool in pools],
+                        {
+                            key: (route.shard, route.stream_id)
+                            for key, route in self._bindings.items()
+                        },
+                        meta=meta,
                     )
-                    for key, route in self._bindings.items()
-                    if route.scenario is not None and route.version is not None
-                }
-            futures = [
-                shard.client.submit(OP_SNAPSHOT) for shard in self._shards
-            ]
-        pools = [
-            decode_snapshot(await asyncio.wrap_future(future))
-            for future in futures
-        ]
-        if self._router is None:
-            assert self.detector is not None and single_bindings is not None
-            await asyncio.to_thread(
-                save_gateway_checkpoint,
-                self.config.checkpoint_path,
-                self.detector,
-                [EngineStateView(pool[SINGLE_LABEL]) for pool in pools],
-                single_bindings,
-                meta=meta,
-            )
-        else:
-            assert routed_bindings is not None
-            await asyncio.to_thread(
-                save_routed_gateway_checkpoint,
-                self.config.checkpoint_path,
-                [
-                    {
-                        pool_route(label): EngineStateView(state)
-                        for label, state in pool.items()
-                    }
-                    for pool in pools
-                ],
-                routed_bindings,
-                meta=meta,
-            )
-        self._since_checkpoint = 0
-        self._checkpoints_written += 1
-        if self._m_checkpoint_timer is not None:
-            self._m_checkpoint_timer.observe(perf_counter() - started)
-
-    def _write_checkpoint(self) -> None:
-        # Deliberately synchronous on the loop: the engine states being
-        # snapshotted must not advance mid-save, and handing the numpy
-        # state arrays to a writer thread would race the next tick's
-        # in-place updates.  The stall is one compressed .npz write per
-        # checkpoint_every packages — size it accordingly.
-        if not self.config.checkpoint_path:
-            return
-        started = perf_counter()
-        meta = {
-            "processed": self._processed,
-            "routes": self._route_meta(),
-            "transport": {
-                name: dict(counters)
-                for name, counters in sorted(self._transport_stats.items())
-            },
-            **self._obs_state_meta(),
-        }
-        if self._router is None:
-            assert self.detector is not None
-            save_gateway_checkpoint(
-                self.config.checkpoint_path,
-                self.detector,
-                [shard.engines[_SINGLE_ROUTE] for shard in self._shards],
-                {
-                    key: (route.shard, route.stream_id)
-                    for key, route in self._bindings.items()
-                },
-                meta=meta,
-            )
-        else:
-            save_routed_gateway_checkpoint(
-                self.config.checkpoint_path,
-                [dict(shard.engines) for shard in self._shards],
-                {
-                    key: RouteBinding(
-                        shard=route.shard,
-                        scenario=route.scenario,
-                        version=route.version,
-                        stream_id=route.stream_id,
-                        seq_base=route.seq_base,
-                        protocol=route.protocol,
+                else:
+                    save = partial(
+                        save_routed_gateway_checkpoint,
+                        path,
+                        pools,
+                        {
+                            key: RouteBinding(
+                                shard=route.shard,
+                                scenario=route.scenario,
+                                version=route.version,
+                                stream_id=route.stream_id,
+                                seq_base=route.seq_base,
+                                protocol=route.protocol,
+                            )
+                            for key, route in self._bindings.items()
+                            if route.scenario is not None
+                            and route.version is not None
+                        },
+                        meta=meta,
                     )
-                    for key, route in self._bindings.items()
-                    if route.scenario is not None and route.version is not None
-                },
-                meta=meta,
-            )
-        self._since_checkpoint = 0
-        self._checkpoints_written += 1
-        if self._m_checkpoint_timer is not None:
-            self._m_checkpoint_timer.observe(perf_counter() - started)
+                self._since_checkpoint = 0
+            await asyncio.to_thread(save)
+            self._checkpoints_written += 1
+            if self._m_checkpoint_timer is not None:
+                self._m_checkpoint_timer.observe(perf_counter() - started)
 
     # ------------------------------------------------------------------
 
@@ -1638,20 +1466,16 @@ class DetectionGateway:
         ``routes`` names, for every stream key, the scenario + artifact
         version of the model scoring its verdicts (plus shard, engine
         row and lifetime package count) — the audit trail a mixed fleet
-        needs.
+        needs.  ``degraded`` (present only when some shard is) lists
+        each shard that stopped serving and why; its engine counters
+        are the last ones it answered.
         """
-        worker_stats = self._worker_stats_now()
+        pools = [shard.pool_stats() for shard in self._shards]
         routes: dict[str, dict[str, Any]] = {}
         fallback = (self._model_info or {}).get("scenario")
         for key, route in self._bindings.items():
-            if worker_stats is None:
-                engine = self._shards[route.shard].engines[route.route_key]
-                seen = engine.packages_seen(route.stream_id)
-            else:
-                entry = worker_stats[route.shard].get(
-                    pool_label(*route.route_key), {}
-                )
-                seen = int(entry.get("streams", {}).get(str(route.stream_id), 0))
+            entry = pools[route.shard].get(route.route_key)
+            seen = entry["streams"].get(route.stream_id, 0) if entry else 0
             routes[key] = {
                 "scenario": (
                     route.scenario if route.scenario is not None else fallback
@@ -1680,6 +1504,13 @@ class DetectionGateway:
             "routes": routes,
             "alerts": self.alerts.stats(),
         }
+        degraded = [
+            {"shard": shard.index, "error": shard.degraded}
+            for shard in self._shards
+            if shard.degraded is not None
+        ]
+        if degraded:
+            stats["degraded"] = degraded
         if self.incidents is not None:
             stats["incidents"] = self.incidents.stats()
         if self.monitors is not None:
@@ -1687,61 +1518,22 @@ class DetectionGateway:
         if self.tracer is not None:
             stats["tracing"] = self.tracer.stats()
         if self._router is None:
-            if worker_stats is None:
-                stats["shards"] = [
-                    _engine_stats_entry(asdict(shard.engines[_SINGLE_ROUTE].stats))
-                    for shard in self._shards
-                ]
-            else:
-                stats["shards"] = [
-                    _engine_stats_entry(ws.get(SINGLE_LABEL, {}).get("stats", {}))
-                    for ws in worker_stats
-                ]
+            stats["shards"] = [pool[_SINGLE_ROUTE]["stats"] for pool in pools]
             if self._model_info:
                 stats["model"] = dict(self._model_info)
         else:
-            if worker_stats is None:
-                stats["shards"] = [
-                    {
-                        route_label(scenario, version): _engine_stats_entry(
-                            asdict(engine.stats)
-                        )
-                        for (scenario, version), engine in sorted(
-                            shard.engines.items()
-                        )
-                    }
-                    for shard in self._shards
-                ]
-            else:
-                stats["shards"] = [
-                    {
-                        label: _engine_stats_entry(entry.get("stats", {}))
-                        for label, entry in sorted(ws.items())
-                    }
-                    for ws in worker_stats
-                ]
+            stats["shards"] = [
+                {
+                    route_label(*route_key): entry["stats"]
+                    for route_key, entry in sorted(pool.items())
+                }
+                for pool in pools
+            ]
             stats["swaps_applied"] = self._swaps_applied
             stats["identified"] = self._identified
             stats["abstained"] = self._abstained
             stats["registry"] = self._router.stats()
         return stats
-
-    def _worker_stats_now(self) -> list[dict[str, Any]] | None:
-        """Per-shard worker engine stats, or ``None`` in thread mode.
-
-        While workers run, each shard is polled synchronously (safe
-        cross-thread: requests ride the worker's I/O thread); after
-        :meth:`stop`, the final poll cached at shutdown keeps
-        ``stats()`` answering.
-        """
-        if self._final_worker_stats is not None:
-            return self._final_worker_stats
-        if not self._process_active():
-            return None
-        return [
-            decode_stats(shard.client.call_sync(OP_STATS))
-            for shard in self._shards
-        ]
 
 
 # ----------------------------------------------------------------------

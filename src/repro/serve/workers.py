@@ -1,32 +1,41 @@
-"""Multi-process shard backends: engine pools in worker OS processes.
+"""One shard op protocol, two transports.
 
-The gateway's shards are asyncio tasks — perfect for I/O multiplexing,
-useless for CPU scaling: every LSTM step of every shard contends for
-one GIL, so adding shards *loses* throughput.  This module moves the
-compute side of a shard into its own OS process while the acceptor,
-router, alert pipeline and per-dialect transport counters stay on the
-async side:
+A gateway shard owns an *engine pool*: one
+:class:`~repro.core.stream_engine.StreamEngine` per model route
+(``(scenario, version)``, or ``(None, None)`` for the lone slot of a
+single-detector gateway).  :class:`EnginePool` implements every shard
+operation exactly once:
 
-- :func:`_worker_main` is the worker process: it owns one shard's
-  engine pool (keyed by model route, exactly like the in-process
-  ``_Shard.engines``) and serves a strict request/response loop over a
-  duplex :mod:`multiprocessing` pipe.
-- The channel is **pickle-free**: requests and responses are
-  hand-framed byte strings.  Feature rows cross as the fixed-layout
+- ``attach`` a fresh stream to a route's engine (created on first use);
+- ``packages_seen`` of one stream;
+- ``observe`` one tick: one batched step per route group, timing each
+  group's engine seconds;
+- ``swap`` one stream onto a new model version (drain-and-swap),
+  dropping the old version's engine once its last stream has left;
+- ``snapshot`` every engine's state;
+- ``stats``: per-engine counters and per-stream package counts.
+
+The gateway drives those ops through one awaitable interface with two
+transports, picked by ``GatewayConfig.worker_mode``:
+
+- :class:`LocalPool` (``"thread"``) calls the pool in-process with
+  :class:`~repro.ics.features.Package` objects: no encoding, no copy,
+  no thread, and no op ever suspends the event loop.
+- :class:`WorkerHandle` (``"process"``) runs the pool in a spawned
+  worker OS process (:func:`_worker_main`) and speaks to it over a pipe.
+  The channel is **pickle-free**: requests and responses are
+  hand-framed byte strings (an opcode byte, then the op's fields).
+  Feature rows cross as the fixed-layout
   :func:`~repro.serve.transport.encode_stream_data` records (the same
   dialect-neutral binary package record the wire protocols use), and
   engine state crosses as in-memory ``.npz`` blobs
-  (:func:`~repro.utils.artifact.state_to_bytes`).
-- :class:`WorkerHandle` is the async-side endpoint: a dedicated I/O
-  thread drives the pipe so the event loop never blocks, and each
-  request resolves a future (awaitable via :meth:`WorkerHandle.call`
-  or joined cross-thread via :meth:`WorkerHandle.call_sync`).
+  (:func:`~repro.utils.artifact.state_to_bytes`).  A dedicated I/O
+  thread drives the pipe, so the event loop never blocks on it.
 
-Because the pipe is FIFO and the worker is single-threaded, the
-observable op order *is* the submission order: a snapshot submitted
-after an observe reflects that observe, a swap submitted before a tick
-lands before it.  The gateway leans on this for bit-identical
-checkpoints and zero-drop hot-swaps in process mode.
+Both transports apply ops in the order they are issued: in-process
+trivially, over the pipe because it is FIFO and the worker is
+single-threaded.  The gateway leans on this for bit-identical
+checkpoints and zero-drop hot-swaps in either mode.
 
 Workers are started with the ``spawn`` context: the gateway often runs
 on a background thread (:func:`~repro.serve.gateway.start_in_thread`),
@@ -44,12 +53,18 @@ import threading
 import traceback
 from concurrent.futures import Future
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Any
+from time import perf_counter
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.combined import CombinedDetector
     from repro.core.stream_engine import StreamEngine
+    from repro.ics.features import Package
     from repro.obs.metrics import MetricsRegistry
+
+#: A model route: ``(scenario, version)``, or ``(None, None)`` for the
+#: single-detector slot.
+Route = tuple["str | None", "int | None"]
 
 #: Pool label of the lone engine slot in single-detector mode.  Routed
 #: labels are ``scenario@version`` (always contain ``@``), so the bare
@@ -62,7 +77,6 @@ STATE_BLOB_KIND = "worker-engine-pool"
 # Request opcodes (first byte of every request frame).
 OP_INIT = b"I"
 OP_ATTACH = b"A"
-OP_DETACH = b"D"
 OP_SEEN = b"P"
 OP_OBSERVE = b"O"
 OP_SWAP = b"W"
@@ -81,7 +95,6 @@ _U64 = struct.Struct(">Q")
 _OP_NAMES = {
     OP_INIT: "init",
     OP_ATTACH: "attach",
-    OP_DETACH: "detach",
     OP_SEEN: "seen",
     OP_OBSERVE: "observe",
     OP_SWAP: "swap",
@@ -96,7 +109,147 @@ class WorkerError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# framing helpers (shared by both pipe ends)
+# the engine pool: every shard op, once
+# ----------------------------------------------------------------------
+
+
+class EnginePool:
+    """One shard's engines, keyed by model route.
+
+    ``resolve(route)`` returns the trained framework behind a route; a
+    single-detector pool ignores the route.
+    """
+
+    def __init__(
+        self,
+        resolve: "Callable[[Route], CombinedDetector]",
+        engines: "dict[Route, StreamEngine] | None" = None,
+    ) -> None:
+        self._resolve = resolve
+        self.engines: dict[Route, StreamEngine] = dict(engines or {})
+
+    def _engine_for(self, route: Route) -> "StreamEngine":
+        engine = self.engines.get(route)
+        if engine is None:
+            engine = self._resolve(route).engine(0)
+            self.engines[route] = engine
+        return engine
+
+    def attach(self, route: Route) -> int:
+        """Attach a fresh stream to ``route``'s engine; returns its id."""
+        return self._engine_for(route).attach()
+
+    def packages_seen(self, route: Route, stream_id: int) -> int:
+        return self.engines[route].packages_seen(stream_id)
+
+    def observe(
+        self, groups: "list[tuple[Route, dict[int, Package]]]"
+    ) -> tuple[list[bool], list[int], list[float]]:
+        """One tick: one batched step per ``(route, {stream_id: package})``.
+
+        Returns the verdicts and levels of every row in request order,
+        plus each group's engine seconds (the tracing plane's compute
+        stage).
+        """
+        verdicts: list[bool] = []
+        levels: list[int] = []
+        seconds: list[float] = []
+        for route, batch in groups:
+            engine = self.engines[route]
+            started = perf_counter()
+            group_verdicts, group_levels = engine.observe_batch(batch)
+            seconds.append(perf_counter() - started)
+            verdicts += group_verdicts.tolist()
+            levels += group_levels.tolist()
+        return verdicts, levels, seconds
+
+    def swap(
+        self, scenario: str, old_version: int, new_version: int, stream_id: int
+    ) -> tuple[int, int]:
+        """Drain-and-swap one stream onto ``new_version``.
+
+        Returns ``(new_stream_id, packages_seen_by_old_version)``.  The
+        old version's recurrent state does not transfer (architectures
+        and vocabularies may differ): the stream restarts from a fresh
+        zero state, exactly like offline ``detect()`` starting at the
+        swap boundary.  An old engine left without streams holds only
+        dead recurrent state and is dropped.
+        """
+        old_route = (scenario, old_version)
+        old_engine = self.engines[old_route]
+        old_seen = old_engine.packages_seen(stream_id)
+        old_engine.detach(stream_id)
+        new_id = self._engine_for((scenario, new_version)).attach()
+        if old_engine.num_streams == 0:
+            del self.engines[old_route]
+        return new_id, old_seen
+
+    def snapshot(self) -> "dict[Route, dict[str, Any]]":
+        """Every engine's state dict.
+
+        ``StreamEngine.state_dict`` copies its arrays, so a snapshot
+        taken between ticks stays valid while later ticks advance the
+        engines: it can be written off the event loop.
+        """
+        return {
+            route: engine.state_dict()
+            for route, engine in list(self.engines.items())
+        }
+
+    def stats(self) -> "dict[Route, dict[str, Any]]":
+        """``{route: {"stats": EngineStats dict, "streams": {id: seen}}}``."""
+        return {
+            route: {
+                "stats": asdict(engine.stats),
+                "streams": {
+                    sid: engine.packages_seen(sid) for sid in engine.stream_ids
+                },
+            }
+            for route, engine in list(self.engines.items())
+        }
+
+
+class LocalPool:
+    """In-process transport: the ops run on the caller's event loop.
+
+    No coroutine here ever suspends, so an op issued under a shard lock
+    completes before any other task runs — it lands between that
+    shard's ticks like a plain call.
+    """
+
+    #: Trace stages of one observe: engine compute is the ``tick``, and
+    #: there is no IPC stage.
+    trace_stages: "tuple[str, str | None]" = ("tick", None)
+
+    def __init__(self, pool: EnginePool) -> None:
+        self.pool = pool
+
+    async def attach(self, route: Route) -> int:
+        return self.pool.attach(route)
+
+    async def packages_seen(self, route: Route, stream_id: int) -> int:
+        return self.pool.packages_seen(route, stream_id)
+
+    async def observe(self, groups: "list[tuple[Route, dict[int, Package]]]"):
+        return self.pool.observe(groups)
+
+    async def swap(
+        self, scenario: str, old_version: int, new_version: int, stream_id: int
+    ) -> tuple[int, int]:
+        return self.pool.swap(scenario, old_version, new_version, stream_id)
+
+    async def snapshot(self) -> "dict[Route, dict[str, Any]]":
+        return self.pool.snapshot()
+
+    def stats(self) -> "dict[Route, dict[str, Any]]":
+        return self.pool.stats()
+
+    def close(self) -> None:
+        """Nothing to release: the engines live with the gateway."""
+
+
+# ----------------------------------------------------------------------
+# pipe codec (shared by both pipe ends)
 # ----------------------------------------------------------------------
 
 
@@ -110,7 +263,7 @@ def pool_label(scenario: str | None, version: int | None) -> str:
     return route_label(scenario, version)
 
 
-def pool_route(label: str) -> tuple[str | None, int | None]:
+def pool_route(label: str) -> Route:
     """Invert :func:`pool_label`."""
     if label == SINGLE_LABEL:
         return (None, None)
@@ -172,13 +325,6 @@ def encode_attach(label: str) -> bytes:
 def decode_attach(resp: bytes) -> int:
     (stream_id,) = _U32.unpack_from(resp, 1)
     return stream_id
-
-
-def encode_detach(label: str, stream_id: int) -> bytes:
-    buf = bytearray(OP_DETACH)
-    _put_str(buf, label)
-    buf += _U32.pack(stream_id)
-    return bytes(buf)
 
 
 def encode_seen(label: str, stream_id: int) -> bytes:
@@ -251,16 +397,24 @@ def decode_swap(resp: bytes) -> tuple[int, int]:
     return new_id, old_seen
 
 
-def decode_snapshot(resp: bytes) -> dict[str, Any]:
-    """The worker's engine pool as ``{label: engine_state_dict}``."""
+def decode_snapshot(resp: bytes) -> "dict[Route, dict[str, Any]]":
+    """The worker's engine pool as ``{route: engine_state_dict}``."""
     from repro.utils.artifact import state_from_bytes
 
-    return state_from_bytes(bytes(resp[1:]), kind=STATE_BLOB_KIND)
+    blob = state_from_bytes(bytes(resp[1:]), kind=STATE_BLOB_KIND)
+    return {pool_route(label): state for label, state in blob.items()}
 
 
-def decode_stats(resp: bytes) -> dict[str, Any]:
-    """``{label: {"stats": EngineStats dict, "streams": {id: seen}}}``."""
-    return json.loads(bytes(resp[1:]).decode("utf-8"))
+def decode_stats(resp: bytes) -> "dict[Route, dict[str, Any]]":
+    """The worker's :meth:`EnginePool.stats` (JSON keys turned back
+    into routes and integer stream ids)."""
+    return {
+        pool_route(label): {
+            "stats": entry["stats"],
+            "streams": {int(sid): seen for sid, seen in entry["streams"].items()},
+        }
+        for label, entry in json.loads(bytes(resp[1:]).decode("utf-8")).items()
+    }
 
 
 # ----------------------------------------------------------------------
@@ -268,145 +422,103 @@ def decode_stats(resp: bytes) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 
 
-class _EnginePool:
-    """The worker-side shard: engines keyed by pool label."""
+def _pool_from_init(msg: memoryview) -> EnginePool:
+    """The worker's engine pool, rebuilt from an INIT request."""
+    from repro.core.stream_engine import StreamEngine
+    from repro.utils.artifact import state_from_bytes
 
-    def __init__(self, msg: memoryview) -> None:
-        from repro.core.stream_engine import StreamEngine
-        from repro.utils.artifact import state_from_bytes
+    offset = 2  # opcode + mode byte
+    resolve: "Callable[[Route], CombinedDetector]"
+    if msg[1] == 0:
+        from repro.core.combined import CombinedDetector
 
-        offset = 2  # opcode + mode byte
-        self.detector: "CombinedDetector | None" = None
-        self.registry = None
-        if msg[1] == 0:
-            from repro.core.combined import CombinedDetector
+        blob, offset = _get_block(msg, offset)
+        detector = CombinedDetector.from_state(
+            state_from_bytes(blob, kind=STATE_BLOB_KIND)
+        )
 
-            blob, offset = _get_block(msg, offset)
-            self.detector = CombinedDetector.from_state(
-                state_from_bytes(blob, kind=STATE_BLOB_KIND)
-            )
-        else:
-            from repro.registry.store import ModelRegistry
+        def resolve(route: Route) -> "CombinedDetector":
+            return detector
+    else:
+        from repro.registry.store import ModelRegistry
 
-            root, offset = _get_str(msg, offset)
-            self.registry = ModelRegistry(root)
-        pool_blob, offset = _get_block(msg, offset)
-        self.engines: dict[str, StreamEngine] = {}
-        for label, state in state_from_bytes(
-            pool_blob, kind=STATE_BLOB_KIND
-        ).items():
-            self.engines[label] = StreamEngine.from_state(
-                self._detector_for(label), state
-            )
+        root, offset = _get_str(msg, offset)
+        registry = ModelRegistry(root)
 
-    def _detector_for(self, label: str) -> "CombinedDetector":
-        if self.detector is not None:
-            return self.detector
-        assert self.registry is not None
-        scenario, version = pool_route(label)
-        assert scenario is not None and version is not None
-        return self.registry.load(scenario, version)
+        def resolve(route: Route) -> "CombinedDetector":
+            return registry.load(*route)
 
-    def _engine_for(self, label: str) -> "StreamEngine":
-        engine = self.engines.get(label)
-        if engine is None:
-            engine = self._detector_for(label).engine(0)
-            self.engines[label] = engine
-        return engine
+    pool_blob, _ = _get_block(msg, offset)
+    engines = {}
+    for label, state in state_from_bytes(pool_blob, kind=STATE_BLOB_KIND).items():
+        route = pool_route(label)
+        engines[route] = StreamEngine.from_state(resolve(route), state)
+    return EnginePool(resolve, engines)
 
-    # -- ops -----------------------------------------------------------
 
-    def dispatch(self, op: bytes, msg: memoryview) -> bytes:
-        if op == OP_OBSERVE:
-            return self._observe(msg)
-        if op == OP_ATTACH:
-            label, _ = _get_str(msg, 1)
-            return OP_ATTACH.lower() + _U32.pack(self._engine_for(label).attach())
-        if op == OP_SEEN:
-            label, offset = _get_str(msg, 1)
-            (stream_id,) = _U32.unpack_from(msg, offset)
-            seen = self.engines[label].packages_seen(stream_id)
-            return OP_SEEN.lower() + _U64.pack(seen)
-        if op == OP_DETACH:
-            label, offset = _get_str(msg, 1)
-            (stream_id,) = _U32.unpack_from(msg, offset)
-            self.engines[label].detach(stream_id)
-            return OP_DETACH.lower()
-        if op == OP_SWAP:
-            return self._swap(msg)
-        if op == OP_SNAPSHOT:
-            from repro.utils.artifact import state_to_bytes
-
-            blob = state_to_bytes(
-                {label: e.state_dict() for label, e in self.engines.items()},
-                kind=STATE_BLOB_KIND,
-            )
-            return OP_SNAPSHOT.lower() + blob
-        if op == OP_STATS:
-            payload = {
-                label: {
-                    "stats": asdict(engine.stats),
-                    "streams": {
-                        str(sid): engine.packages_seen(sid)
-                        for sid in engine.stream_ids
-                    },
-                }
-                for label, engine in self.engines.items()
-            }
-            return OP_STATS.lower() + json.dumps(payload).encode("utf-8")
-        raise WorkerError(f"unknown opcode {bytes(op)!r}")
-
-    def _observe(self, msg: memoryview) -> bytes:
-        from time import perf_counter
-
-        from repro.serve.transport import decode_stream_data
-
-        (n_groups,) = _U16.unpack_from(msg, 1)
-        offset = 1 + _U16.size
-        out = bytearray(OP_OBSERVE.lower())
-        timings: list[float] = []
-        for _ in range(n_groups):
-            label, offset = _get_str(msg, offset)
-            (n_items,) = _U32.unpack_from(msg, offset)
-            offset += _U32.size
-            batch: dict[int, Any] = {}
-            for _ in range(n_items):
-                (stream_id,) = _U32.unpack_from(msg, offset)
-                offset += _U32.size
-                record, offset = _get_block(msg, offset)
-                batch[stream_id] = decode_stream_data(record).package
-            started = perf_counter()
-            verdicts, levels = self.engines[label].observe_batch(batch)
-            timings.append(perf_counter() - started)
-            for verdict, level in zip(verdicts, levels):
-                out += bytes((1 if verdict else 0, int(level) & 0xFF))
-        # Trailer: per-group engine seconds, so the gateway can split
-        # worker compute from pipe round-trip in sampled traces.
-        out += _U16.pack(len(timings))
-        out += struct.pack(f">{len(timings)}d", *timings)
-        return bytes(out)
-
-    def _swap(self, msg: memoryview) -> bytes:
+def _dispatch(pool: EnginePool, op: bytes, msg: memoryview) -> bytes:
+    """Decode one request, run it on the pool, encode the response."""
+    if op == OP_OBSERVE:
+        return _observe(pool, msg)
+    if op == OP_ATTACH:
+        label, _ = _get_str(msg, 1)
+        return OP_ATTACH.lower() + _U32.pack(pool.attach(pool_route(label)))
+    if op == OP_SEEN:
+        label, offset = _get_str(msg, 1)
+        (stream_id,) = _U32.unpack_from(msg, offset)
+        seen = pool.packages_seen(pool_route(label), stream_id)
+        return OP_SEEN.lower() + _U64.pack(seen)
+    if op == OP_SWAP:
         scenario, offset = _get_str(msg, 1)
-        (old_version,) = _U32.unpack_from(msg, offset)
-        (new_version,) = _U32.unpack_from(msg, offset + _U32.size)
-        (stream_id,) = _U32.unpack_from(msg, offset + 2 * _U32.size)
-        old_label = pool_label(scenario, old_version)
-        old_engine = self.engines[old_label]
-        old_seen = old_engine.packages_seen(stream_id)
-        old_engine.detach(stream_id)
-        new_engine = self._engine_for(pool_label(scenario, new_version))
-        new_id = new_engine.attach()
-        # Same stale-pool GC as the in-process swap: an old version's
-        # engine with no streams left holds only dead recurrent state.
-        if old_engine.num_streams == 0:
-            del self.engines[old_label]
+        old_version, new_version, stream_id = struct.unpack_from(
+            ">III", msg, offset
+        )
+        new_id, old_seen = pool.swap(scenario, old_version, new_version, stream_id)
         return OP_SWAP.lower() + _U32.pack(new_id) + _U64.pack(old_seen)
+    if op == OP_SNAPSHOT:
+        from repro.utils.artifact import state_to_bytes
+
+        states = {
+            pool_label(*route): state for route, state in pool.snapshot().items()
+        }
+        return OP_SNAPSHOT.lower() + state_to_bytes(states, kind=STATE_BLOB_KIND)
+    if op == OP_STATS:
+        # json turns the integer stream ids into string keys.
+        payload = {pool_label(*route): entry for route, entry in pool.stats().items()}
+        return OP_STATS.lower() + json.dumps(payload).encode("utf-8")
+    raise WorkerError(f"unknown opcode {bytes(op)!r}")
+
+
+def _observe(pool: EnginePool, msg: memoryview) -> bytes:
+    from repro.serve.transport import decode_stream_data
+
+    (n_groups,) = _U16.unpack_from(msg, 1)
+    offset = 1 + _U16.size
+    groups = []
+    for _ in range(n_groups):
+        label, offset = _get_str(msg, offset)
+        (n_items,) = _U32.unpack_from(msg, offset)
+        offset += _U32.size
+        batch: dict[int, Any] = {}
+        for _ in range(n_items):
+            (stream_id,) = _U32.unpack_from(msg, offset)
+            record, offset = _get_block(msg, offset + _U32.size)
+            batch[stream_id] = decode_stream_data(record).package
+        groups.append((pool_route(label), batch))
+    verdicts, levels, seconds = pool.observe(groups)
+    out = bytearray(OP_OBSERVE.lower())
+    for verdict, level in zip(verdicts, levels):
+        out += bytes((1 if verdict else 0, level & 0xFF))
+    # Trailer: per-group engine seconds, so the gateway can split
+    # worker compute from pipe round-trip in sampled traces.
+    out += _U16.pack(len(seconds))
+    out += struct.pack(f">{len(seconds)}d", *seconds)
+    return bytes(out)
 
 
 def _worker_main(conn, index: int) -> None:
     """One shard worker: a strict FIFO request/response loop."""
-    pool: _EnginePool | None = None
+    pool: EnginePool | None = None
     try:
         while True:
             try:
@@ -419,12 +531,12 @@ def _worker_main(conn, index: int) -> None:
                 break
             try:
                 if op == OP_INIT:
-                    pool = _EnginePool(memoryview(msg))
+                    pool = _pool_from_init(memoryview(msg))
                     resp = OP_INIT.lower()
                 elif pool is None:
                     raise WorkerError("worker received ops before INIT")
                 else:
-                    resp = pool.dispatch(op, memoryview(msg))
+                    resp = _dispatch(pool, op, memoryview(msg))
             except BaseException:  # noqa: BLE001 - reported to the gateway
                 resp = OP_ERROR + traceback.format_exc().encode(
                     "utf-8", "replace"
@@ -443,13 +555,19 @@ def _worker_main(conn, index: int) -> None:
 
 
 class WorkerHandle:
-    """The gateway's end of one shard worker's pipe.
+    """The gateway's end of one shard worker's pipe: the pipe transport.
 
-    All pipe traffic runs on a dedicated I/O thread so the event loop
-    never blocks on a ``send_bytes``/``recv_bytes`` pair; each request
-    resolves a :class:`concurrent.futures.Future` in submission order
-    (the pipe is FIFO, the worker single-threaded).
+    It offers the same ops as :class:`LocalPool`, run by the worker's
+    :class:`EnginePool`.  All pipe traffic runs on a dedicated I/O
+    thread so the event loop never blocks on a
+    ``send_bytes``/``recv_bytes`` pair; each request resolves a
+    :class:`concurrent.futures.Future` in submission order (the pipe is
+    FIFO, the worker single-threaded).
     """
+
+    #: Trace stages of one observe: the worker's engine seconds, and the
+    #: rest of the round trip (framing + IPC) as ``pipe``.
+    trace_stages: "tuple[str, str | None]" = ("worker", "pipe")
 
     def __init__(
         self,
@@ -581,3 +699,42 @@ class WorkerHandle:
         if self._process.is_alive():
             self._process.kill()
         self._requests.put(None)
+
+    # -- the shard ops over the pipe -------------------------------------
+
+    async def attach(self, route: Route) -> int:
+        return decode_attach(await self.call(encode_attach(pool_label(*route))))
+
+    async def packages_seen(self, route: Route, stream_id: int) -> int:
+        return decode_seen(await self.call(encode_seen(pool_label(*route), stream_id)))
+
+    async def observe(self, groups: "list[tuple[Route, dict[int, Package]]]"):
+        from repro.serve.transport import encode_stream_data
+
+        wire = [
+            (
+                pool_label(*route),
+                [(sid, encode_stream_data(pkg, 0)) for sid, pkg in batch.items()],
+            )
+            for route, batch in groups
+        ]
+        rows, seconds = decode_verdicts(
+            await self.call(encode_observe(wire)),
+            sum(len(batch) for _, batch in groups),
+        )
+        return [v for v, _ in rows], [level for _, level in rows], seconds
+
+    async def swap(
+        self, scenario: str, old_version: int, new_version: int, stream_id: int
+    ) -> tuple[int, int]:
+        return decode_swap(
+            await self.call(encode_swap(scenario, old_version, new_version, stream_id))
+        )
+
+    async def snapshot(self) -> "dict[Route, dict[str, Any]]":
+        return decode_snapshot(await self.call(OP_SNAPSHOT))
+
+    def stats(self) -> "dict[Route, dict[str, Any]]":
+        """A blocking poll, safe from any thread: the request rides the
+        I/O thread."""
+        return decode_stats(self.call_sync(OP_STATS))

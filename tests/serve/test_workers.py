@@ -9,32 +9,29 @@ either mode's checkpoint), hot-swaps and tiny-queue backpressure.
 
 from __future__ import annotations
 
+import asyncio
+import os
+import signal
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.registry import ModelRegistry
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
-from repro.serve.replay import ReplayClient
-from repro.serve.transport import encode_stream_data
+from repro.serve.replay import ReplayClient, ReplayError
 from repro.serve.workers import (
-    OP_SNAPSHOT,
-    OP_STATS,
     SINGLE_LABEL,
     STATE_BLOB_KIND,
+    EnginePool,
+    LocalPool,
     WorkerError,
     WorkerHandle,
-    decode_attach,
-    decode_seen,
-    decode_snapshot,
-    decode_stats,
     decode_verdicts,
     encode_attach,
     encode_init,
-    encode_observe,
-    encode_seen,
     pool_label,
     pool_route,
 )
@@ -96,51 +93,84 @@ class TestChannelCodec:
             state_from_bytes(blob, kind="something-else")
 
 
+def _spawned_worker(detector) -> WorkerHandle:
+    handle = WorkerHandle(0)
+    handle.call_sync(
+        encode_init(
+            state_to_bytes(detector.state_dict(), kind=STATE_BLOB_KIND),
+            None,
+            state_to_bytes({}, kind=STATE_BLOB_KIND),
+        )
+    )
+    return handle
+
+
+#: The two transports of the shard op protocol, built over one detector.
+TRANSPORTS = {
+    "in-process": lambda detector: LocalPool(EnginePool(lambda route: detector)),
+    "worker": _spawned_worker,
+}
+
+
 class TestWorkerHandle:
-    def test_worker_serves_full_op_cycle(self, detector, capture):
-        """One spawned worker exercises the whole opcode surface, and
-        its verdicts match an identically-driven in-process engine."""
-        handle = WorkerHandle(0)
-        try:
-            # Ops before INIT are an error response, not a dead worker.
-            with pytest.raises(WorkerError, match="before INIT"):
-                handle.call_sync(encode_attach(SINGLE_LABEL))
+    @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+    def test_worker_serves_full_op_cycle(self, transport, detector, capture):
+        """Both transports answer the whole op surface identically:
+        verdicts match an in-process engine driven by hand, and seen,
+        swap (with stale-engine GC), stats and snapshot match the same
+        expectations."""
+        pool = TRANSPORTS[transport](detector)
+        old, new = ("plant", 1), ("plant", 2)
 
-            assert (
-                handle.call_sync(
-                    encode_init(
-                        state_to_bytes(
-                            detector.state_dict(), kind=STATE_BLOB_KIND
-                        ),
-                        None,
-                        state_to_bytes({}, kind=STATE_BLOB_KIND),
-                    )
-                )
-                == b"i"
-            )
-            sid = decode_attach(handle.call_sync(encode_attach(SINGLE_LABEL)))
-
+        async def cycle() -> None:
+            sid = await pool.attach(old)
             reference = detector.engine(0)
             ref_sid = reference.attach()
             for package in capture[:8]:
-                wire = encode_observe(
-                    [(SINGLE_LABEL, [(sid, encode_stream_data(package, 0))])]
+                verdicts, levels, seconds = await pool.observe(
+                    [(old, {sid: package})]
                 )
-                (verdict,), timings = decode_verdicts(handle.call_sync(wire), 1)
-                expected, levels = reference.observe_batch({ref_sid: package})
-                assert verdict == (bool(expected[0]), int(levels[0]))
-                assert len(timings) == 1 and timings[0] >= 0.0
+                expected, expected_levels = reference.observe_batch(
+                    {ref_sid: package}
+                )
+                assert verdicts == expected.tolist()
+                assert levels == expected_levels.tolist()
+                assert len(seconds) == 1 and seconds[0] >= 0.0
+            assert await pool.packages_seen(old, sid) == 8
 
-            seen = decode_seen(handle.call_sync(encode_seen(SINGLE_LABEL, sid)))
-            assert seen == 8
+            new_sid, old_seen = await pool.swap("plant", 1, 2, sid)
+            assert old_seen == 8
+            fresh = detector.engine(0)
+            fresh_sid = fresh.attach()
+            verdicts, levels, _ = await pool.observe(
+                [(new, {new_sid: capture[8]})]
+            )
+            expected, expected_levels = fresh.observe_batch(
+                {fresh_sid: capture[8]}
+            )
+            assert (verdicts, levels) == (
+                expected.tolist(), expected_levels.tolist()
+            )
 
-            stats = decode_stats(handle.call_sync(OP_STATS))
-            assert stats[SINGLE_LABEL]["streams"] == {str(sid): 8}
-            assert stats[SINGLE_LABEL]["stats"]["packages"] == 8
+            # The drained v1 engine is gone from both stats and snapshot.
+            assert pool.stats() == {
+                new: {"stats": asdict(fresh.stats), "streams": {new_sid: 1}}
+            }
+            snapshot = await pool.snapshot()
+            assert set(snapshot) == {new}
+            assert list(snapshot[new]["stream_ids"]) == [new_sid]
+            assert int(snapshot[new]["stats"]["packages"]) == 1
 
-            snapshot = decode_snapshot(handle.call_sync(OP_SNAPSHOT))
-            assert set(snapshot) == {SINGLE_LABEL}
-            assert list(snapshot[SINGLE_LABEL]["stream_ids"]) == [sid]
+        try:
+            asyncio.run(cycle())
+        finally:
+            pool.close()
+
+    def test_ops_before_init_are_an_error_response(self):
+        handle = WorkerHandle(0)
+        try:
+            with pytest.raises(WorkerError, match="before INIT"):
+                handle.call_sync(encode_attach(SINGLE_LABEL))
         finally:
             handle.close()
 
@@ -313,6 +343,55 @@ class TestProcessGateway:
             assert np.array_equal(result.anomalies, offline.is_anomaly)
         finally:
             handle.stop()
+
+
+    def test_sigkilled_worker_degrades_its_shard_and_fails_fast(
+        self, detector, capture, tmp_path
+    ):
+        """SIGKILL the only worker mid-replay: the client gets an ERROR
+        frame well inside its timeout, stats() reports the degraded
+        shard instead of raising, no checkpoint is written over the
+        last good one, and stop() still flushes the historian."""
+        from repro.obs.historian import Historian
+
+        historian = Historian(tmp_path / "historian")
+        handle = start_in_thread(
+            detector,
+            GatewayConfig(
+                worker_mode="process",
+                checkpoint_path=str(tmp_path / "gateway.npz"),
+                checkpoint_every=10,
+            ),
+            historian=historian,
+        )
+        ops = handle.gateway._shards[0].ops
+        observe = ops.observe
+        ticks = 0
+
+        async def observe_then_kill(groups):
+            nonlocal ticks
+            ticks += 1
+            if ticks == 20:  # one package per tick: 19 are judged
+                os.kill(ops.pid, signal.SIGKILL)
+            return await observe(groups)
+
+        ops.observe = observe_then_kill
+        try:
+            host, port = handle.address
+            started = time.monotonic()
+            with pytest.raises(ReplayError, match="degraded"):
+                ReplayClient(
+                    host, port, stream_key="plant", timeout=30.0
+                ).replay(capture)
+            assert time.monotonic() - started < 10.0
+            stats = handle.stats()
+            assert [entry["shard"] for entry in stats["degraded"]] == [0]
+            assert stats["processed"] == 19
+            assert stats["checkpoints_written"] == 1
+        finally:
+            handle.stop()
+        assert len(historian.query(stream_key="plant")) == 19
+        historian.close()
 
 
 class TestRoutedProcessGateway:
