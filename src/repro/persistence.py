@@ -150,7 +150,7 @@ class GatewayCheckpoint:
 def save_gateway_checkpoint(
     path: str | os.PathLike,
     detector: CombinedDetector,
-    engines: list[StreamEngine],
+    engines: "list[StreamEngine | dict[str, Any]]",
     bindings: dict[str, tuple[int, int]],
     meta: dict[str, Any] | None = None,
 ) -> None:
@@ -159,29 +159,16 @@ def save_gateway_checkpoint(
     One artifact holds the trained detector, one engine state per
     shard, and the stream-key → (shard, stream id) binding table — the
     complete fail-over unit for :class:`repro.serve.DetectionGateway`.
-    The write goes through a same-directory temp file and ``os.replace``
-    so a crash mid-checkpoint can never leave a torn artifact where the
-    previous good one stood.
+    ``engines`` may also be engine state dicts already taken (a serving
+    gateway snapshots its shards between ticks and writes off its event
+    loop).  The write goes through a same-directory temp file and
+    ``os.replace`` so a crash mid-checkpoint can never leave a torn
+    artifact where the previous good one stood.
     """
-    save_gateway_states(
-        path, detector, [engine.state_dict() for engine in engines], bindings, meta
-    )
-
-
-def _stream_ids(engine_state: dict[str, Any]) -> set[int]:
-    return {int(i) for i in np.asarray(engine_state["stream_ids"])}
-
-
-def save_gateway_states(
-    path: str | os.PathLike,
-    detector: CombinedDetector,
-    engine_states: list[dict[str, Any]],
-    bindings: dict[str, tuple[int, int]],
-    meta: dict[str, Any] | None = None,
-) -> None:
-    """:func:`save_gateway_checkpoint` from engine state dicts already
-    taken — a serving gateway snapshots its shards between ticks and
-    writes off its event loop."""
+    engine_states = [
+        engine if isinstance(engine, dict) else engine.state_dict()
+        for engine in engines
+    ]
     keys = sorted(bindings)
     for key in keys:
         shard, stream_id = bindings[key]
@@ -253,6 +240,10 @@ def load_gateway_checkpoint(
     return GatewayCheckpoint(
         detector=detector, engines=engines, bindings=bindings, meta=meta
     )
+
+
+def _stream_ids(engine_state: dict[str, Any]) -> set[int]:
+    return {int(i) for i in np.asarray(engine_state["stream_ids"])}
 
 
 # ----------------------------------------------------------------------

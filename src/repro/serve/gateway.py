@@ -43,12 +43,14 @@ Architecture
   one checkpoint writer and one ``stats()`` for both; verdicts,
   checkpoints, hot-swaps and resume offsets are bit-identical between
   the two.
-- A shard whose pool op fails (its worker process died) is marked
+- A failed pool op fails only its request: the sessions it served get
+  an ERROR frame, a failed hot-swap leaves its streams on their
+  version.  A shard whose transport dies (its worker was killed) is
   *degraded*: every live session bound to it gets an ERROR frame and
   is closed, so clients fail fast instead of waiting out a timeout;
-  ``stats()`` reports the shard under ``degraded`` instead of raising,
-  new streams bind to healthy shards only, and :meth:`stop` still
-  closes alerts, flushes the historian and closes the other workers.
+  ``stats()`` reports it under ``degraded`` instead of raising, new
+  streams bind to healthy shards only, and :meth:`stop` still closes
+  alerts, flushes the historian and closes the other workers.
 
 Heterogeneous serving
 ---------------------
@@ -84,6 +86,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import deque
+from contextlib import AsyncExitStack
 from dataclasses import dataclass, replace
 from functools import partial
 from time import perf_counter
@@ -98,7 +101,7 @@ from repro.persistence import (
     load_gateway_checkpoint,
     load_routed_gateway_checkpoint,
     route_label,
-    save_gateway_states,
+    save_gateway_checkpoint,
     save_routed_gateway_checkpoint,
 )
 from repro.registry.router import RoutingError, ScenarioRouter
@@ -119,6 +122,7 @@ from repro.serve.workers import (
     STATE_BLOB_KIND,
     EnginePool,
     LocalPool,
+    WorkerDied,
     WorkerError,
     WorkerHandle,
     encode_init,
@@ -141,6 +145,12 @@ _SINGLE_ROUTE: tuple[str | None, int | None] = (None, None)
 #: Stream id placeholder acked to untagged streams awaiting
 #: auto-identification (no engine row is assigned yet).
 PENDING_STREAM_ID = 0xFFFFFFFF
+
+
+def _error_line(exc: BaseException) -> str:
+    """The last line of an error (a worker's is a whole traceback)."""
+    lines = [line for line in str(exc).splitlines() if line.strip()]
+    return (lines[-1] if lines else repr(exc))[:200]
 
 
 class ProtocolViolation(Exception):
@@ -288,11 +298,8 @@ class _Shard:
         self.gateway = gateway
         self.index = index
         metrics = gateway.metrics
-        if metrics is None:
-            self._t_tick = None
-            self._h_batch = None
-            self._g_depth = None
-        else:
+        self._t_tick = self._h_batch = self._g_depth = None
+        if metrics is not None:
             from repro.obs.metrics import DEFAULT_SIZE_BUCKETS
 
             label = str(index)
@@ -325,12 +332,15 @@ class _Shard:
         #: checkpoint's binding copy), so none of them interleave.
         #: In-process ops never suspend, so only process mode contends.
         self.lock = asyncio.Lock()
-        #: Why the shard stopped serving (a pool op failed), else None.
+        #: Why the shard stopped serving (its transport died), else None.
         self.degraded: str | None = None
         #: The last pool stats answered: what ``stats()`` reports once
         #: the pool is closed or degraded.
-        self._pool_stats = self.ops.stats()
+        self._pool_stats = self.ops.stats_now()
         self.closed = False
+        #: True while :meth:`run` waits on the queue, the only point
+        #: where :meth:`DetectionGateway.stop` may cancel it.
+        self.idle = True
 
     @staticmethod
     def _build_tick(pending: deque) -> tuple[dict, deque]:
@@ -354,20 +364,37 @@ class _Shard:
         return groups, leftover
 
     async def run(self) -> None:
-        """Drain the queue forever, one batched tick at a time."""
-        while True:
+        """Drain the queue, one batched tick at a time, until stopped.
+
+        A tick is never cancelled: once the gateway stops, the tick in
+        flight still runs to its end (compute, accounting, a due
+        checkpoint, delivery) and the loop then returns, so no verdict
+        is counted without being delivered.
+        """
+        gateway = self.gateway
+        while not gateway._stopped:
+            self.idle = True
             items = [await self.queue.get()]
+            self.idle = False
             while True:
                 try:
                     items.append(self.queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
+            if self.degraded is not None:
+                continue  # its sessions are closed: nobody to answer
             pending = deque(items)
-            while pending:
+            while pending and not gateway._stopped:
                 try:
                     pending = await self._tick(pending)
-                except WorkerError as exc:
-                    self.fail(exc)  # the pending packages' sessions close
+                except Exception as exc:  # noqa: BLE001 - never die silently
+                    if isinstance(exc, WorkerDied) or not isinstance(exc, WorkerError):
+                        self.fail(exc)
+                    else:  # the pool refused the tick but still serves
+                        self._close_sessions(
+                            {item[0] for item in pending},  # the tick's sessions
+                            f"shard {self.index} failed a tick: {_error_line(exc)}",
+                        )
                     break
 
     async def _tick(self, pending: deque) -> deque:
@@ -417,24 +444,28 @@ class _Shard:
             self._h_batch.observe(len(items))
         return leftover
 
-    def fail(self, exc: WorkerError) -> None:
+    def fail(self, exc: BaseException) -> None:
         """Mark the shard degraded (once) and close its live sessions.
 
         Safe from any thread: the sessions are closed on the loop.
-        Each gets an ERROR frame first, so its client fails fast
-        instead of waiting out its socket timeout.
         """
         if self.degraded is not None:
             return
-        lines = [line for line in str(exc).splitlines() if line.strip()]
-        self.degraded = (lines[-1] if lines else repr(exc))[:200]
-        assert self.gateway._loop is not None  # ops only fail once started
-        self.gateway._loop.call_soon_threadsafe(self._close_sessions)
+        self.degraded = _error_line(exc)
+        gateway = self.gateway
+        assert gateway._loop is not None  # ops only fail once started
+        gateway._loop.call_soon_threadsafe(
+            lambda: self._close_sessions(
+                [s for s in gateway._live.values() if s.shard is self],
+                f"shard {self.index} is degraded: {self.degraded}",
+            )
+        )
 
-    def _close_sessions(self) -> None:
-        message = f"shard {self.index} is degraded: {self.degraded}"
-        for session in list(self.gateway._live.values()):
-            if session.shard is self and not session.evicted:
+    def _close_sessions(self, sessions, message: str) -> None:
+        """Send each session an ERROR frame, then close it, so its
+        client fails fast instead of waiting out its socket timeout."""
+        for session in sessions:
+            if not session.evicted:
                 session.send(
                     session.adapter.frame_error(message),
                     self.gateway.config.max_write_buffer,
@@ -443,13 +474,28 @@ class _Shard:
                 session.writer.close()
 
     def pool_stats(self) -> dict:
-        """The pool's stats; the last answer once closed or degraded."""
+        """The pool's stats (a blocking poll from any thread); the last
+        answer once closed or degraded."""
         if self.degraded is None and not self.closed:
             try:
-                self._pool_stats = self.ops.stats()
-            except WorkerError as exc:
+                self._pool_stats = self.ops.stats_now()
+            except WorkerDied as exc:
                 self.fail(exc)
+            except WorkerError:
+                pass  # keep the last answer
         return self._pool_stats
+
+    async def close(self) -> None:
+        """Keep the pool's final stats for ``stats()``, awaited so the
+        loop never blocks on a worker."""
+        if self.degraded is None and not self.closed:
+            try:
+                self._pool_stats = await self.ops.stats()
+            except WorkerDied as exc:
+                self.fail(exc)
+            except WorkerError:
+                pass
+        self.closed = True
 
 
 class DetectionGateway:
@@ -520,11 +566,8 @@ class DetectionGateway:
         #: needs no checkpoint state: a resumed replay re-selects
         #: exactly the same packages with the same trace ids.
         self.tracer = tracer
-        if metrics is None:
-            self._m_packages = None
-            self._m_checkpoint_timer = None
-            self._m_queue_peak = None
-        else:
+        self._m_packages = self._m_checkpoint_timer = self._m_queue_peak = None
+        if metrics is not None:
             self._m_packages = metrics.counter(
                 "gateway_packages_total", "Packages judged by this gateway"
             )
@@ -608,6 +651,8 @@ class DetectionGateway:
         #: Serializes checkpoint writers: any shard's tick may trigger
         #: one, and a writer re-checks dueness under the lock.
         self._checkpoint_lock = asyncio.Lock()
+        #: The last checkpoint write (runs on a thread).
+        self._write: asyncio.Future | None = None
         #: In-flight hot-swap tasks, held until they finish (the loop
         #: only keeps weak references) and awaited by :meth:`stop`.
         self._swap_tasks: set[asyncio.Task] = set()
@@ -744,46 +789,41 @@ class DetectionGateway:
         its worker's INIT request and the shard's transport switches
         from the in-process pool to the worker's pipe.
         """
+        detector_blob: bytes | None = None
+        registry_root: str | None = None
         if self._router is None:
             assert self.detector is not None
-            detector_blob: bytes | None = state_to_bytes(
+            detector_blob = state_to_bytes(
                 self.detector.state_dict(), kind=STATE_BLOB_KIND
             )
-            registry_root: str | None = None
         else:
-            registry = getattr(self._router, "registry", None)
-            root = getattr(registry, "root", None)
+            root = getattr(getattr(self._router, "registry", None), "root", None)
             if root is None:
                 raise ValueError(
                     "worker_mode='process' requires a registry-backed "
                     "router: worker processes re-load model artifacts "
                     "from the registry root"
                 )
-            detector_blob = None
             registry_root = str(root)
-        payloads = []
-        for shard in self._shards:
-            pool = {
-                pool_label(*route_key): state
-                for route_key, state in (await shard.ops.snapshot()).items()
-            }
-            payloads.append(
-                encode_init(
-                    detector_blob,
-                    registry_root,
-                    state_to_bytes(pool, kind=STATE_BLOB_KIND),
-                )
+        payloads = [
+            encode_init(
+                detector_blob,
+                registry_root,
+                state_to_bytes(
+                    {
+                        pool_label(*route_key): state
+                        for route_key, state in (await shard.ops.snapshot()).items()
+                    },
+                    kind=STATE_BLOB_KIND,
+                ),
             )
+            for shard in self._shards
+        ]
         handles: list[WorkerHandle] = []
         try:
             for shard in self._shards:
                 handles.append(WorkerHandle(shard.index, metrics=self.metrics))
-            await asyncio.gather(
-                *(
-                    handle.call(payload)
-                    for handle, payload in zip(handles, payloads)
-                )
-            )
+            await asyncio.gather(*map(WorkerHandle.call, handles, payloads))
         except BaseException:
             await asyncio.to_thread(
                 lambda: [handle.close(timeout=2.0) for handle in handles]
@@ -805,11 +845,8 @@ class DetectionGateway:
             # In-process publishes/promotes hot-swap immediately; the
             # poll task additionally picks up activations performed by
             # other processes (e.g. `repro registry promote`).
-            def listener(scenario: str, version: int) -> None:
-                loop.call_soon_threadsafe(self._maybe_swap, scenario)
-
-            self._registry_listener = listener
-            self._router.registry.subscribe(listener)
+            self._registry_listener = lambda name, _: self.request_promote(name)
+            self._router.registry.subscribe(self._registry_listener)
             if self.config.registry_poll_seconds > 0:
                 self._workers.append(loop.create_task(self._watch_registry()))
         self._server = await asyncio.start_server(
@@ -843,13 +880,12 @@ class DetectionGateway:
             if self._server is not None:
                 self._server.close()
                 await self._server.wait_closed()
-            for worker in self._workers:
-                worker.cancel()
-            for worker in self._workers:
-                try:
-                    await worker
-                except (asyncio.CancelledError, Exception):
-                    pass
+            # A shard task is cancelled only while it waits on its
+            # queue; one mid-tick finishes the tick and returns.
+            for index, worker in enumerate(self._workers):
+                if index >= len(self._shards) or self._shards[index].idle:
+                    worker.cancel()
+            await asyncio.gather(*self._workers, return_exceptions=True)
             # Swaps are awaited, not cancelled: one cancelled after its
             # worker re-attached the stream but before the route table
             # caught up would leave the shutdown checkpoint naming a
@@ -864,9 +900,9 @@ class DetectionGateway:
             if checkpoint and self.config.checkpoint_path:
                 await self._checkpoint(force=True)
         finally:
-            for shard in self._shards:
-                shard.pool_stats()  # stats() answers once the pool is gone
-                shard.closed = True
+            if self._write is not None:
+                await asyncio.wait({self._write})
+            await asyncio.gather(*(shard.close() for shard in self._shards))
             await asyncio.to_thread(
                 lambda: [shard.ops.close() for shard in self._shards]
             )
@@ -1059,14 +1095,18 @@ class DetectionGateway:
         )
 
     async def _pool_op(self, shard: _Shard, op, *args):
-        """One session-driven pool op under the shard lock.  A degraded
-        shard refuses the session, and a failed op degrades the shard."""
-        try:
-            if shard.degraded is None:
+        """One session-driven pool op under the shard lock.  A failed op
+        refuses the session; a dead transport also degrades the shard."""
+        if shard.degraded is None:
+            try:
                 async with shard.lock:
                     return await op(*args)
-        except WorkerError as exc:
-            shard.fail(exc)
+            except WorkerDied as exc:
+                shard.fail(exc)
+            except WorkerError as exc:
+                raise ProtocolViolation(
+                    f"shard {shard.index} failed the op: {_error_line(exc)}"
+                ) from exc
         raise ProtocolViolation(f"shard {shard.index} is degraded: {shard.degraded}")
 
     async def _bind(
@@ -1241,7 +1281,10 @@ class DetectionGateway:
         dropped, and the verdict sequence continues unbroken.  Route
         fields are re-checked under the lock, so concurrent swap tasks
         (subscribe callback racing the registry poll) stay idempotent.
-        A shard whose swap op fails is degraded; the others still swap.
+        A failed swap op (say, the new version does not load) leaves
+        that shard's remaining streams on their version and is reported
+        through the loop's exception handler; a dead transport degrades
+        the shard.  The other shards still swap.
         """
         swapped = 0
         for shard in self._shards:
@@ -1263,8 +1306,14 @@ class DetectionGateway:
                         route.stream_id = new_id
                         route.version = version
                         swapped += 1
-            except WorkerError as exc:
+            except WorkerDied as exc:
                 shard.fail(exc)
+            except WorkerError as exc:
+                self._report(
+                    f"hot-swap of {scenario!r} to version {version} failed "
+                    f"on shard {shard.index}; its streams keep their version",
+                    exc,
+                )
         if swapped:
             self._swaps_applied += 1
 
@@ -1349,6 +1398,12 @@ class DetectionGateway:
                     time=package.time,
                 )
 
+    def _report(self, message: str, exc: BaseException) -> None:
+        """Log a failure that costs no session through the loop's
+        exception handler."""
+        assert self._loop is not None
+        self._loop.call_exception_handler({"message": message, "exception": exc})
+
     def _after_work(self, count: int) -> None:
         self._processed += count
         self._since_checkpoint += count
@@ -1372,17 +1427,19 @@ class DetectionGateway:
         every pool is snapshotted: no tick, swap or bind can run in
         between, so each snapshot holds exactly the engine state the
         copied bindings describe.  Snapshots are copies, so the
-        compressed write runs on a thread while the shards tick on.
-        The on-disk format is the same whatever the worker mode, so
-        checkpoints are interchangeable across modes.  With a degraded
+        compressed write runs on a thread while the shards tick on; a
+        cancelled caller does not stop it, and the next checkpoint waits
+        for it, so two writes never share the temp file.  The on-disk
+        format is the same whatever the worker mode, so checkpoints are
+        interchangeable across modes.  With a degraded
         shard nothing is written: its state is lost, and the last good
         checkpoint stays in place for a resume.
         """
         if not self.config.checkpoint_path:
             return
-        from contextlib import AsyncExitStack
-
         async with self._checkpoint_lock:
+            if self._write is not None:
+                await asyncio.wait({self._write})
             if not (force or self._checkpoint_due()):
                 return  # another shard's tick has just written one
             if any(shard.degraded is not None for shard in self._shards):
@@ -1395,8 +1452,15 @@ class DetectionGateway:
                 for shard in self._shards:
                     try:
                         pools.append(await shard.ops.snapshot())
-                    except WorkerError as exc:
+                    except WorkerDied as exc:
                         shard.fail(exc)
+                        return
+                    except WorkerError as exc:
+                        self._report(
+                            f"checkpoint skipped: shard {shard.index} "
+                            "failed its snapshot",
+                            exc,
+                        )
                         return
                 meta = {
                     "processed": self._processed,
@@ -1410,7 +1474,7 @@ class DetectionGateway:
                 path = self.config.checkpoint_path
                 if self._router is None:
                     save = partial(
-                        save_gateway_states,
+                        save_gateway_checkpoint,
                         path,
                         self.detector,
                         [pool[_SINGLE_ROUTE] for pool in pools],
@@ -1427,12 +1491,8 @@ class DetectionGateway:
                         pools,
                         {
                             key: RouteBinding(
-                                shard=route.shard,
-                                scenario=route.scenario,
-                                version=route.version,
-                                stream_id=route.stream_id,
-                                seq_base=route.seq_base,
-                                protocol=route.protocol,
+                                route.shard, route.scenario, route.version,
+                                route.stream_id, route.seq_base, route.protocol,
                             )
                             for key, route in self._bindings.items()
                             if route.scenario is not None
@@ -1441,7 +1501,9 @@ class DetectionGateway:
                         meta=meta,
                     )
                 self._since_checkpoint = 0
-            await asyncio.to_thread(save)
+            assert self._loop is not None
+            self._write = self._loop.run_in_executor(None, save)
+            await asyncio.shield(self._write)
             self._checkpoints_written += 1
             if self._m_checkpoint_timer is not None:
                 self._m_checkpoint_timer.observe(perf_counter() - started)

@@ -105,7 +105,12 @@ _OP_NAMES = {
 
 
 class WorkerError(RuntimeError):
-    """A shard worker failed a request or its channel died."""
+    """A shard op failed; the pool behind the transport still serves."""
+
+
+class WorkerDied(WorkerError):
+    """The transport is gone (the worker process died or was closed):
+    every later op on it fails too."""
 
 
 # ----------------------------------------------------------------------
@@ -173,13 +178,15 @@ class EnginePool:
         and vocabularies may differ): the stream restarts from a fresh
         zero state, exactly like offline ``detect()`` starting at the
         swap boundary.  An old engine left without streams holds only
-        dead recurrent state and is dropped.
+        dead recurrent state and is dropped.  The new engine is resolved
+        and attached first, so a new version that does not load leaves
+        the stream where it was.
         """
         old_route = (scenario, old_version)
         old_engine = self.engines[old_route]
         old_seen = old_engine.packages_seen(stream_id)
-        old_engine.detach(stream_id)
         new_id = self._engine_for((scenario, new_version)).attach()
+        old_engine.detach(stream_id)
         if old_engine.num_streams == 0:
             del self.engines[old_route]
         return new_id, old_seen
@@ -214,7 +221,10 @@ class LocalPool:
 
     No coroutine here ever suspends, so an op issued under a shard lock
     completes before any other task runs — it lands between that
-    shard's ticks like a plain call.
+    shard's ticks like a plain call.  A pool exception is raised as
+    :class:`WorkerError`, like a worker's error response, so a failed op
+    is handled the same whatever the transport; nothing here ever
+    raises :class:`WorkerDied`.
     """
 
     #: Trace stages of one observe: engine compute is the ``tick``, and
@@ -224,25 +234,38 @@ class LocalPool:
     def __init__(self, pool: EnginePool) -> None:
         self.pool = pool
 
+    @staticmethod
+    def _run(op: Callable, *args: Any) -> Any:
+        try:
+            return op(*args)
+        except Exception as exc:
+            raise WorkerError(f"{type(exc).__name__}: {exc}") from exc
+
     async def attach(self, route: Route) -> int:
-        return self.pool.attach(route)
+        return self._run(self.pool.attach, route)
 
     async def packages_seen(self, route: Route, stream_id: int) -> int:
-        return self.pool.packages_seen(route, stream_id)
+        return self._run(self.pool.packages_seen, route, stream_id)
 
     async def observe(self, groups: "list[tuple[Route, dict[int, Package]]]"):
-        return self.pool.observe(groups)
+        return self._run(self.pool.observe, groups)
 
     async def swap(
         self, scenario: str, old_version: int, new_version: int, stream_id: int
     ) -> tuple[int, int]:
-        return self.pool.swap(scenario, old_version, new_version, stream_id)
+        return self._run(
+            self.pool.swap, scenario, old_version, new_version, stream_id
+        )
 
     async def snapshot(self) -> "dict[Route, dict[str, Any]]":
-        return self.pool.snapshot()
+        return self._run(self.pool.snapshot)
 
-    def stats(self) -> "dict[Route, dict[str, Any]]":
-        return self.pool.stats()
+    async def stats(self) -> "dict[Route, dict[str, Any]]":
+        return self._run(self.pool.stats)
+
+    def stats_now(self) -> "dict[Route, dict[str, Any]]":
+        """:meth:`stats` as a plain call, for pollers on other threads."""
+        return self._run(self.pool.stats)
 
     def close(self) -> None:
         """Nothing to release: the engines live with the gateway."""
@@ -316,27 +339,17 @@ def encode_init(
     return bytes(buf)
 
 
+def _request(op: bytes, text: str, *fields: int) -> bytes:
+    """ATTACH/SEEN/SWAP: the opcode, one string, then u32 fields."""
+    buf = bytearray(op)
+    _put_str(buf, text)
+    for value in fields:
+        buf += _U32.pack(value)
+    return bytes(buf)
+
+
 def encode_attach(label: str) -> bytes:
-    buf = bytearray(OP_ATTACH)
-    _put_str(buf, label)
-    return bytes(buf)
-
-
-def decode_attach(resp: bytes) -> int:
-    (stream_id,) = _U32.unpack_from(resp, 1)
-    return stream_id
-
-
-def encode_seen(label: str, stream_id: int) -> bytes:
-    buf = bytearray(OP_SEEN)
-    _put_str(buf, label)
-    buf += _U32.pack(stream_id)
-    return bytes(buf)
-
-
-def decode_seen(resp: bytes) -> int:
-    (seen,) = _U64.unpack_from(resp, 1)
-    return seen
+    return _request(OP_ATTACH, label)
 
 
 def encode_observe(groups: "list[tuple[str, list[tuple[int, bytes]]]]") -> bytes:
@@ -377,32 +390,6 @@ def decode_verdicts(
     verdicts = [(bool(body[2 * i]), int(body[2 * i + 1])) for i in range(count)]
     seconds = list(struct.unpack_from(f">{n_groups}d", body, timings_at))
     return verdicts, seconds
-
-
-def encode_swap(
-    scenario: str, old_version: int, new_version: int, stream_id: int
-) -> bytes:
-    buf = bytearray(OP_SWAP)
-    _put_str(buf, scenario)
-    buf += _U32.pack(old_version)
-    buf += _U32.pack(new_version)
-    buf += _U32.pack(stream_id)
-    return bytes(buf)
-
-
-def decode_swap(resp: bytes) -> tuple[int, int]:
-    """``(new_stream_id, packages_seen_by_old_version)``."""
-    (new_id,) = _U32.unpack_from(resp, 1)
-    (old_seen,) = _U64.unpack_from(resp, 1 + _U32.size)
-    return new_id, old_seen
-
-
-def decode_snapshot(resp: bytes) -> "dict[Route, dict[str, Any]]":
-    """The worker's engine pool as ``{route: engine_state_dict}``."""
-    from repro.utils.artifact import state_from_bytes
-
-    blob = state_from_bytes(bytes(resp[1:]), kind=STATE_BLOB_KIND)
-    return {pool_route(label): state for label, state in blob.items()}
 
 
 def decode_stats(resp: bytes) -> "dict[Route, dict[str, Any]]":
@@ -622,7 +609,7 @@ class WorkerHandle:
         future: "Future[bytes]" = Future()
         if self._closed:
             future.set_exception(
-                WorkerError(
+                WorkerDied(
                     f"shard worker (pid {self._process.pid}) handle is closed"
                 )
             )
@@ -646,7 +633,7 @@ class WorkerHandle:
             if not future.set_running_or_notify_cancel():
                 continue
             if failure is not None:
-                future.set_exception(WorkerError(failure))
+                future.set_exception(WorkerDied(failure))
                 continue
             timer = (
                 self._timers.get(payload[:1]) if self._timers else None
@@ -664,7 +651,7 @@ class WorkerHandle:
                     f"shard worker (pid {self._process.pid}) channel "
                     f"failed: {exc!r}"
                 )
-                future.set_exception(WorkerError(failure))
+                future.set_exception(WorkerDied(failure))
                 continue
             if resp[:1] == OP_ERROR:
                 future.set_exception(
@@ -703,10 +690,12 @@ class WorkerHandle:
     # -- the shard ops over the pipe -------------------------------------
 
     async def attach(self, route: Route) -> int:
-        return decode_attach(await self.call(encode_attach(pool_label(*route))))
+        resp = await self.call(encode_attach(pool_label(*route)))
+        return _U32.unpack_from(resp, 1)[0]
 
     async def packages_seen(self, route: Route, stream_id: int) -> int:
-        return decode_seen(await self.call(encode_seen(pool_label(*route), stream_id)))
+        resp = await self.call(_request(OP_SEEN, pool_label(*route), stream_id))
+        return _U64.unpack_from(resp, 1)[0]
 
     async def observe(self, groups: "list[tuple[Route, dict[int, Package]]]"):
         from repro.serve.transport import encode_stream_data
@@ -727,14 +716,22 @@ class WorkerHandle:
     async def swap(
         self, scenario: str, old_version: int, new_version: int, stream_id: int
     ) -> tuple[int, int]:
-        return decode_swap(
-            await self.call(encode_swap(scenario, old_version, new_version, stream_id))
+        resp = await self.call(
+            _request(OP_SWAP, scenario, old_version, new_version, stream_id)
         )
+        return _U32.unpack_from(resp, 1)[0], _U64.unpack_from(resp, 1 + _U32.size)[0]
 
     async def snapshot(self) -> "dict[Route, dict[str, Any]]":
-        return decode_snapshot(await self.call(OP_SNAPSHOT))
+        from repro.utils.artifact import state_from_bytes
 
-    def stats(self) -> "dict[Route, dict[str, Any]]":
-        """A blocking poll, safe from any thread: the request rides the
-        I/O thread."""
+        resp = await self.call(OP_SNAPSHOT)
+        blob = state_from_bytes(bytes(resp[1:]), kind=STATE_BLOB_KIND)
+        return {pool_route(label): state for label, state in blob.items()}
+
+    async def stats(self) -> "dict[Route, dict[str, Any]]":
+        return decode_stats(await self.call(OP_STATS))
+
+    def stats_now(self) -> "dict[Route, dict[str, Any]]":
+        """:meth:`stats` as a blocking poll, for callers on other
+        threads (the request rides the I/O thread)."""
         return decode_stats(self.call_sync(OP_STATS))

@@ -238,6 +238,74 @@ class TestFailover:
         finally:
             handle2.stop()
 
+    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
+    def test_stop_at_max_packages_delivers_every_verdict(
+        self, detector, capture, offline, tmp_path, worker_mode
+    ):
+        """The `repro serve --max-packages` shutdown: the tick that
+        reaches max_packages also makes a periodic checkpoint due, and
+        stop() runs as soon as wait_done() returns.  That tick still
+        delivers its verdict (to the client and the historian), no two
+        checkpoint writes overlap, and the shutdown checkpoint resumes
+        exactly where the client stopped."""
+        import asyncio
+
+        from repro.obs.historian import Historian
+
+        total, every = 60, 20
+        checkpoint = tmp_path / "gateway.npz"
+        historian = Historian(tmp_path / "historian")
+        gateway = DetectionGateway(
+            detector,
+            GatewayConfig(
+                checkpoint_path=str(checkpoint),
+                checkpoint_every=every,
+                max_packages=total,
+                worker_mode=worker_mode,
+            ),
+            historian=historian,
+        )
+        started = threading.Event()
+
+        def serve() -> None:
+            async def main() -> None:
+                await gateway.start()
+                started.set()
+                await gateway.wait_done()
+                await gateway.stop(checkpoint=True)
+
+            asyncio.run(main())
+
+        server = threading.Thread(target=serve)
+        server.start()
+        assert started.wait(10.0)
+        host, port = gateway.address
+        result = ReplayClient(host, port, stream_key="plant").replay(
+            capture[:total]
+        )
+        server.join(30.0)
+        assert not server.is_alive()
+        assert result.complete and result.judged == total
+        assert np.array_equal(result.anomalies, offline.is_anomaly[:total])
+        assert len(historian.query(stream_key="plant")) == total
+        historian.close()
+        stats = gateway.stats()
+        assert stats["processed"] == total
+        assert stats["checkpoints_written"] == total // every + 1
+
+        assert load_gateway_checkpoint(checkpoint).meta["processed"] == total
+        resumed = DetectionGateway.from_checkpoint(str(checkpoint))
+        handle = start_in_thread(None, gateway=resumed)
+        try:
+            host, port = handle.address
+            second = ReplayClient(host, port, stream_key="plant").replay(capture)
+            assert second.start == total
+            assert np.array_equal(
+                second.anomalies, offline.is_anomaly[total:]
+            )
+        finally:
+            handle.stop()
+
     def test_checkpoint_topology_overrides_config(self, detector, capture, tmp_path):
         path = tmp_path / "gateway.npz"
         engines = [detector.engine(1), detector.engine(0), detector.engine(0)]

@@ -22,6 +22,7 @@ from repro.persistence import checkpoint_meta
 from repro.registry import ModelRegistry
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
 from repro.serve.replay import ReplayClient, ReplayError
+from repro.utils.artifact import read_meta, save_artifact
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +221,57 @@ class TestHotSwap:
             assert route["version"] == 2
             assert route["seq_base"] == boundary
             assert route["packages"] == len(capture)
+        finally:
+            handle.stop()
+
+    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
+    def test_swap_to_an_unloadable_version_keeps_the_old_one(
+        self, tmp_path, scenario_detectors, gas_v2, captures, worker_mode
+    ):
+        """Promote a version whose artifact does not load: the failed
+        swap is reported, the stream keeps serving on v1 with nothing
+        lost or re-judged, and the shard stays healthy."""
+        capture = captures["gas_pipeline"]
+        own = ModelRegistry(tmp_path / "bad-swap")
+        v1 = scenario_detectors["gas_pipeline"]
+        own.publish(v1, "gas_pipeline")
+        own.publish(gas_v2, "gas_pipeline", activate=False)
+        # v2's header (and so its registry entry) stays readable, but it
+        # no longer holds a detector: loading it fails.
+        artifact = own.artifact_path("gas_pipeline", 2)
+        save_artifact(
+            {}, artifact, kind="not-a-detector", meta=read_meta(artifact)["meta"]
+        )
+        handle = routed_gateway(own, worker_mode=worker_mode)
+        reports: list[dict] = []
+        handle._loop.set_exception_handler(
+            lambda loop, context: reports.append(context)
+        )
+        try:
+            host, port = handle.address
+            boundary = len(capture) // 2
+            first = ReplayClient(
+                host, port, stream_key="plant", scenario="gas_pipeline"
+            ).replay(capture[:boundary])
+            assert first.complete
+
+            own.promote("gas_pipeline", 2)  # the hot-swap cannot load v2
+            deadline = time.monotonic() + 10.0
+            while not reports:
+                assert time.monotonic() < deadline, "failed swap not reported"
+                time.sleep(0.01)
+            assert "gas_pipeline" in reports[0]["message"]
+
+            second = ReplayClient(host, port, stream_key="plant").replay(capture)
+            assert second.complete
+            assert second.start == boundary
+            stitched = np.concatenate([first.anomalies, second.anomalies])
+            assert np.array_equal(stitched, v1.detect(capture).is_anomaly)
+            stats = handle.stats()
+            assert "degraded" not in stats
+            assert stats["swaps_applied"] == 0
+            assert stats["routes"]["plant"]["version"] == 1
+            assert stats["routes"]["plant"]["packages"] == len(capture)
         finally:
             handle.stop()
 

@@ -153,9 +153,11 @@ class TestWorkerHandle:
             )
 
             # The drained v1 engine is gone from both stats and snapshot.
-            assert pool.stats() == {
+            expected_stats = {
                 new: {"stats": asdict(fresh.stats), "streams": {new_sid: 1}}
             }
+            assert await pool.stats() == expected_stats
+            assert pool.stats_now() == expected_stats
             snapshot = await pool.snapshot()
             assert set(snapshot) == {new}
             assert list(snapshot[new]["stream_ids"]) == [new_sid]
